@@ -18,7 +18,8 @@ fn run_mix(policy: PgcPolicyKind, mix: &[&'static pagecross_workloads::Workload]
         .pgc_policy(policy)
         .warmup(8_000)
         .instructions(16_000)
-        .run_mix(&ws)
+        .try_run_mix(&ws)
+        .expect("out of physical memory")
         .ipcs()
 }
 

@@ -9,7 +9,7 @@ use pagecross_cpu::trace::{TraceFactory, TraceSource};
 use pagecross_cpu::{PgcPolicyKind, PrefetcherKind, SimulationBuilder};
 use pagecross_trace::{read_all, record, BlockingSource, StreamingSource, TraceReplay};
 use pagecross_workloads::{suite, SuiteId};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 const TRACE_LEN: u64 = 200_000;
 
@@ -30,7 +30,7 @@ fn drain<S: TraceSource + ?Sized>(src: &mut S, n: u64) -> u64 {
     acc
 }
 
-fn bench_decode(c: &mut Micro, path: &PathBuf) {
+fn bench_decode(c: &mut Micro, path: &Path) {
     let mut g = c.benchmark_group("trace_decode");
     g.throughput(TRACE_LEN);
     g.bench_function("read_all", |b| {
@@ -60,7 +60,7 @@ fn bench_decode(c: &mut Micro, path: &PathBuf) {
     g.finish();
 }
 
-fn bench_replay_sim(c: &mut Micro, path: &PathBuf) {
+fn bench_replay_sim(c: &mut Micro, path: &Path) {
     // The case streaming exists for: decode overlapping a consumer that
     // does real work per instruction (the simulation engine).
     let sim = |factory: &dyn TraceFactory| {

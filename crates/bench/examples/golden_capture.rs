@@ -7,8 +7,8 @@
 //! that is itself a bug.
 
 use pagecross_cpu::trace::TraceFactory;
-use pagecross_cpu::{PgcPolicyKind, PrefetcherKind, SimulationBuilder};
-use pagecross_workloads::{suite, SuiteId};
+use pagecross_cpu::{OsConfig, PgcPolicyKind, PrefetcherKind, SimulationBuilder};
+use pagecross_workloads::{random_mixes, suite, SuiteId};
 
 fn main() {
     let cases = [
@@ -73,5 +73,35 @@ fn main() {
             r.l1d_mpki(),
             r.dtlb_mpki()
         );
+    }
+
+    // Mix goldens: the `Debug` rendering of every core's CoreStats and
+    // OsStats, and of the shared LLC's CacheStats.
+    let gap = suite(SuiteId::Gap).workloads();
+    let os = OsConfig {
+        phys_mem_bytes: 64 << 20,
+        thp: 0.5,
+        ..OsConfig::default()
+    };
+    let os_builder = SimulationBuilder::new()
+        .prefetcher(PrefetcherKind::Ipcp)
+        .pgc_policy(PgcPolicyKind::PermitPgc)
+        .os(os);
+    let mixes = [
+        (SimulationBuilder::new(), random_mixes(1, 4, 42).remove(0)),
+        (os_builder, vec![&gap[0], &gap[1]]),
+    ];
+    for (builder, mix) in mixes {
+        let ws: Vec<&dyn TraceFactory> = mix.iter().map(|w| *w as _).collect();
+        let m = builder
+            .warmup(5_000)
+            .instructions(20_000)
+            .try_run_mix(&ws)
+            .expect("the mix fits in memory");
+        println!("mix {:?}", m.workloads);
+        for (core, os) in m.cores.iter().zip(&m.os) {
+            println!("  {core:?}\n  {os:?}");
+        }
+        println!("  {:?}", m.llc);
     }
 }

@@ -201,8 +201,8 @@ pub fn run_one_timed<S: Subject + ?Sized>(
     if let Some(os) = scheme.os {
         builder = builder.os(os);
     }
-    let (report, phases, error) = match builder.try_run_workload_timed(factory) {
-        Ok((report, phases)) => (report, phases, None),
+    let (report, phases, error) = match builder.run(&[factory], None) {
+        Ok(mut out) => (out.reports.swap_remove(0), out.timings, None),
         Err(e) => (
             Report::default(),
             PhaseTimings::default(),
@@ -509,6 +509,7 @@ pub fn ipcs_of(results: &[WorkloadResult], scheme: &str) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pagecross_cpu::{Instr, Op, TelemetryConfig, TraceSource};
     use pagecross_workloads::{suite, SuiteId};
 
     fn tiny_cfg() -> CampaignConfig {
@@ -649,51 +650,71 @@ mod tests {
         );
     }
 
-    #[test]
-    fn an_oom_cell_fails_alone_and_the_rest_of_the_grid_merges() {
-        use pagecross_cpu::{Instr, Op, TraceSource};
+    // Every instruction lives on its own 4 KB code page; code pages are
+    // pinned by the OS model, so a 64 MB machine runs out of frames with
+    // nothing left to reclaim partway through the run.
+    struct CodeBomb;
+    struct BombSrc {
+        i: u64,
+    }
+    impl TraceSource for BombSrc {
+        fn next_instr(&mut self) -> Instr {
+            self.i += 1;
+            Instr {
+                pc: 0x100_0000 + self.i * 4096,
+                op: Op::Alu,
+            }
+        }
+    }
+    impl TraceFactory for CodeBomb {
+        fn name(&self) -> &str {
+            "code-bomb"
+        }
+        fn build(&self) -> Box<dyn TraceSource> {
+            Box::new(BombSrc { i: 0 })
+        }
+    }
+    impl Subject for CodeBomb {
+        fn factory(&self) -> &dyn TraceFactory {
+            self
+        }
+        fn suite_label(&self) -> &'static str {
+            "synthetic"
+        }
+        fn lengths(&self) -> (u64, u64) {
+            (100, 12_000)
+        }
+    }
 
-        // Every instruction lives on its own 4 KB code page; code pages are
-        // pinned by the OS model, so a 64 MB machine runs out of frames
-        // with nothing left to reclaim partway through the run.
-        struct CodeBomb;
-        struct BombSrc {
-            i: u64,
-        }
-        impl TraceSource for BombSrc {
-            fn next_instr(&mut self) -> Instr {
-                self.i += 1;
-                Instr {
-                    pc: 0x100_0000 + self.i * 4096,
-                    op: Op::Alu,
-                }
-            }
-        }
-        impl TraceFactory for CodeBomb {
-            fn name(&self) -> &str {
-                "code-bomb"
-            }
-            fn build(&self) -> Box<dyn TraceSource> {
-                Box::new(BombSrc { i: 0 })
-            }
-        }
-        impl Subject for CodeBomb {
-            fn factory(&self) -> &dyn TraceFactory {
-                self
-            }
-            fn suite_label(&self) -> &'static str {
-                "synthetic"
-            }
-            fn lengths(&self) -> (u64, u64) {
-                (100, 12_000)
-            }
-        }
-
-        let mut strained = Scheme::new("os-64M", PrefetcherKind::None, PgcPolicyKind::DiscardPgc);
-        strained.os = Some(OsConfig {
+    fn os_64m() -> OsConfig {
+        OsConfig {
             phys_mem_bytes: 64 << 20,
             ..OsConfig::default()
-        });
+        }
+    }
+
+    #[test]
+    fn an_oom_run_with_telemetry_returns_err() {
+        let builder = SimulationBuilder::new()
+            .prefetcher(PrefetcherKind::None)
+            .pgc_policy(PgcPolicyKind::DiscardPgc)
+            .os(os_64m())
+            .warmup(100)
+            .instructions(12_000);
+        let tcfg = TelemetryConfig {
+            events: true,
+            ..TelemetryConfig::default()
+        };
+        let err = builder
+            .run(&[&CodeBomb], Some(&tcfg))
+            .expect_err("the code bomb exhausts 64 MB");
+        assert!(err.to_string().contains("4KB"), "got {err}");
+    }
+
+    #[test]
+    fn an_oom_cell_fails_alone_and_the_rest_of_the_grid_merges() {
+        let mut strained = Scheme::new("os-64M", PrefetcherKind::None, PgcPolicyKind::DiscardPgc);
+        strained.os = Some(os_64m());
         let plain = Scheme::new("no-os", PrefetcherKind::None, PgcPolicyKind::DiscardPgc);
         let run = run_grid(
             &[&CodeBomb],

@@ -7,9 +7,6 @@
 //!   simulation, full report;
 //! * `compare --workload <name> [--prefetcher p]` — Discard vs Permit vs
 //!   DRIPPER in one line;
-//! * `sweep --suite <id> [--prefetcher p] [--jobs n]` — the compare row for
-//!   every seen workload of a suite, computed on the parallel campaign
-//!   runner;
 //! * `campaign [--suite <id>] [--prefetcher p] [--jobs n] [--per-suite k]
 //!   [--trace-dir <dir>]` — a figure-style (workload × scheme) grid on the
 //!   worker pool, with per-experiment timing and the wall-clock/speedup
@@ -55,15 +52,6 @@ pub enum Command {
         workload: String,
         /// L1D prefetcher.
         prefetcher: PrefetcherKind,
-    },
-    /// Compare the three core policies across a suite.
-    Sweep {
-        /// Suite to sweep.
-        suite: SuiteId,
-        /// L1D prefetcher.
-        prefetcher: PrefetcherKind,
-        /// Worker threads (0 = `PAGECROSS_JOBS` / all cores).
-        jobs: usize,
     },
     /// Run a figure-style experiment grid on the parallel campaign runner.
     Campaign {
@@ -461,16 +449,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 .transpose()?
                 .unwrap_or(PrefetcherKind::Berti),
         }),
-        "sweep" => Ok(Command::Sweep {
-            suite: parse_suite(
-                get("suite").ok_or_else(|| CliError("sweep requires --suite <id>".into()))?,
-            )?,
-            prefetcher: get("prefetcher")
-                .map(parse_prefetcher)
-                .transpose()?
-                .unwrap_or(PrefetcherKind::Berti),
-            jobs: parse_jobs(get("jobs"))?,
-        }),
         "campaign" => Ok(Command::Campaign {
             suite: get("suite").map(parse_suite).transpose()?,
             prefetcher: get("prefetcher")
@@ -572,7 +550,6 @@ USAGE:
                 [--telemetry-trace <path.json>]
                 [--os on|off] [--phys-mem <size>] [--thp <f>] [--fault-ns <n>]
   pagecross compare --workload <name> [--prefetcher <p>]
-  pagecross sweep --suite <id> [--prefetcher <p>] [--jobs <n>]
   pagecross campaign [--suite <id>] [--prefetcher <p>] [--jobs <n>] [--per-suite <k>]
                      [--trace-dir <dir>]
   pagecross record --workload <name> [--out <path>] [--warmup <n>] [--instructions <n>]
@@ -680,19 +657,19 @@ fn simulate_with_telemetry(
     interval: u64,
     trace: Option<&str>,
 ) -> Result<(Report, Vec<String>), CliError> {
-    if out.is_none() && trace.is_none() {
-        let report = builder
-            .try_run_workload(w)
-            .map_err(|e| CliError(format!("simulation aborted: {e}")))?;
-        return Ok((report, Vec::new()));
-    }
-    let tcfg = TelemetryConfig {
+    let tcfg = (out.is_some() || trace.is_some()).then(|| TelemetryConfig {
         interval,
         events: trace.is_some(),
         ..TelemetryConfig::default()
-    };
-    let (report, telemetry) = builder.run_workload_with_telemetry(w, &tcfg);
+    });
+    let mut run = builder
+        .run(&[w], tcfg.as_ref())
+        .map_err(|e| CliError(format!("simulation aborted: {e}")))?;
+    let report = run.reports.swap_remove(0);
     let mut lines = Vec::new();
+    let Some(telemetry) = run.telemetry else {
+        return Ok((report, lines));
+    };
     if let Some(path) = out {
         let mut text = String::new();
         for rec in &telemetry.intervals {
@@ -880,19 +857,6 @@ pub fn execute(cmd: Command) -> i32 {
                 2
             }
         },
-        Command::Sweep {
-            suite: id,
-            prefetcher,
-            jobs,
-        } => {
-            let ws: Vec<&Workload> = seen_workloads()
-                .into_iter()
-                .filter(|w| w.suite() == id)
-                .collect();
-            let run = run_compare_grid(&ws, prefetcher, jobs);
-            println!("{}", run.timing_line());
-            0
-        }
         Command::Campaign {
             suite: filter,
             prefetcher,
@@ -1129,15 +1093,7 @@ mod tests {
     }
 
     #[test]
-    fn sweep_and_campaign_parse_jobs() {
-        assert_eq!(
-            parse(&argv("sweep --suite gap --jobs 8")).unwrap(),
-            Command::Sweep {
-                suite: SuiteId::Gap,
-                prefetcher: PrefetcherKind::Berti,
-                jobs: 8
-            }
-        );
+    fn campaign_parses_jobs() {
         assert_eq!(
             parse(&argv(
                 "campaign --suite gap --prefetcher bop --jobs 4 --per-suite 2"

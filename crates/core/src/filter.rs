@@ -171,18 +171,6 @@ impl PageCrossFilter {
         let w_final = self.bank.predict_at(&indices) + self.sf.predict(mask);
         let issue = !disabled && w_final > self.threshold();
 
-        if std::env::var_os("MOKA_DEBUG_DECIDE").is_some()
-            && self.stats.decisions.is_multiple_of(500)
-        {
-            eprintln!(
-                "decision={} delta={} w={} t_a={} issue={}",
-                self.stats.decisions,
-                cand.delta,
-                w_final,
-                self.threshold(),
-                issue
-            );
-        }
         if issue {
             self.stats.issued += 1;
             self.pending_issue = Some((indices, mask));

@@ -230,12 +230,6 @@ impl AdaptiveThreshold {
         }
         self.prev_ipc = Some(snap.ipc);
         self.clamp();
-        if std::env::var_os("MOKA_DEBUG_THRESHOLD").is_some() {
-            eprintln!(
-                "epoch={} t_a={} pending_u/w={}/{} issued={} ipc={:.3}",
-                self.epochs, self.t_a, self.acc_useful, self.acc_useless, issued, snap.ipc
-            );
-        }
     }
 }
 

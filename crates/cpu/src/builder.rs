@@ -3,8 +3,8 @@
 
 use crate::config::{BoundaryMode, CoreConfig};
 use crate::engine::CoreEngine;
-use crate::report::{MixReport, Report};
-use crate::trace::TraceFactory;
+use crate::report::{MixReport, Report, RunOutput};
+use crate::trace::{TraceFactory, TraceSource};
 use moka_pgc::dripper::{
     dripper_config, single_program_feature, single_system_feature, TargetPrefetcher,
 };
@@ -377,8 +377,14 @@ impl SimulationBuilder {
         )
     }
 
-    fn collect_report(&self, name: &str, engine: &CoreEngine, mem: &MemorySystem) -> Report {
-        let c = mem.core(0);
+    fn collect_report(
+        &self,
+        name: &str,
+        core: usize,
+        engine: &CoreEngine,
+        mem: &MemorySystem,
+    ) -> Report {
+        let c = mem.core(core);
         Report {
             workload: name.to_string(),
             prefetcher: self.prefetcher.label().to_string(),
@@ -396,10 +402,33 @@ impl SimulationBuilder {
         }
     }
 
-    /// Memory + OS construction shared by the single and mix paths. With
-    /// the OS on, its physical-memory size overrides the DRAM capacity
-    /// and the static huge-page policy is forced off.
-    fn make_mem_and_os(&self, n: usize) -> (MemorySystem, Option<Os>) {
+    /// Runs one workload per core; a single-core run is a mix of one.
+    ///
+    /// Cores advance in rough cycle lockstep: each step goes to the core
+    /// with the lowest cycle count among those short of the phase's quota
+    /// (`warmup` instructions, then `instructions` measured ones). A core
+    /// that reaches its quota stops stepping for the rest of the phase, so
+    /// in the measured phase the remaining cores run on without its
+    /// contention. Each core's [`Report`] is captured when it reaches its
+    /// measured quota, except `llc`: the LLC is shared, and every report
+    /// carries its statistics at the end of the run.
+    ///
+    /// With `telemetry` set, core 0 carries the interval sampler and the
+    /// memory system the event ring; collection is pure observation, so the
+    /// reports are bit-identical with and without it. An `Err` means
+    /// physical memory was exhausted with nothing left to reclaim (only
+    /// possible with the OS model on and a pathological footprint/pool
+    /// ratio).
+    pub fn run(
+        &self,
+        workloads: &[&dyn TraceFactory],
+        telemetry: Option<&TelemetryConfig>,
+    ) -> Result<RunOutput, OomError> {
+        let n = workloads.len();
+        assert!(n > 0, "a run needs at least one workload");
+        let t0 = Instant::now();
+        // With the OS on, its physical-memory size overrides the DRAM
+        // capacity and the static huge-page policy is forced off.
         let mut mcfg = MemConfig::table_iv(n as u32);
         let huge = if let Some(os) = &self.os {
             mcfg.dram.capacity_bytes = os.phys_mem_bytes;
@@ -407,71 +436,50 @@ impl SimulationBuilder {
         } else {
             self.huge_pages.clone()
         };
-        let mem = MemorySystem::new(mcfg, n, huge, self.seed);
-        let os = self.os.map(|cfg| Os::new(cfg, n));
-        (mem, os)
-    }
-
-    /// Runs a single workload on a single core. Telemetry collection (when
-    /// `tcfg` is `Some`) is pure observation: the returned `Report` is
-    /// bit-identical with and without it.
-    fn run_single(
-        &self,
-        workload: &dyn TraceFactory,
-        tcfg: Option<&TelemetryConfig>,
-    ) -> (Report, PhaseTimings, Option<TelemetryRun>) {
-        self.try_run_single(workload, tcfg)
-            .expect("out of physical memory")
-    }
-
-    /// Fallible variant of the single-core path: an `Err` means physical
-    /// memory was exhausted with nothing left to reclaim (only possible
-    /// with the OS model on and a pathological footprint/pool ratio).
-    fn try_run_single(
-        &self,
-        workload: &dyn TraceFactory,
-        tcfg: Option<&TelemetryConfig>,
-    ) -> Result<(Report, PhaseTimings, Option<TelemetryRun>), OomError> {
-        let t0 = Instant::now();
-        let (mut mem, mut os) = self.make_mem_and_os(1);
-        let mut engine = self.make_engine(0);
-        let mut trace = workload.build();
+        let mut mem = MemorySystem::new(mcfg, n, huge, self.seed);
+        let mut os = self.os.map(|cfg| Os::new(cfg, n));
+        let mut cores = Cores {
+            engines: (0..n).map(|i| self.make_engine(i)).collect(),
+            traces: workloads.iter().map(|w| w.build()).collect(),
+            pending: vec![true; n],
+        };
         let t_setup = Instant::now();
-        for _ in 0..self.warmup {
-            let i = trace.next_instr();
-            engine.step(&mut mem, &mut os, &i)?;
-        }
+        cores.run_to(self.warmup, &mut mem, &mut os, |_, _, _| {})?;
         let t_warmup = Instant::now();
         if let Some(o) = os.as_mut() {
             o.reset_stats();
         }
         mem.reset_stats();
-        engine.reset_stats(&mem);
-        if let Some(cfg) = tcfg {
-            engine.attach_sampler(cfg.interval);
+        for e in &mut cores.engines {
+            e.reset_stats(&mem);
+        }
+        if let Some(cfg) = telemetry {
+            cores.engines[0].attach_sampler(cfg.interval);
             if let Some(ring) = cfg.make_ring() {
                 mem.attach_events(ring);
             }
         }
-        for _ in 0..self.instructions {
-            let i = trace.next_instr();
-            engine.step(&mut mem, &mut os, &i)?;
+        let mut reports = vec![Report::default(); n];
+        let mut intervals = None;
+        cores.run_to(self.instructions, &mut mem, &mut os, |i, engine, mem| {
+            engine.finish();
+            if let Some(mut sampler) = engine.take_sampler() {
+                // Close the final partial interval against the post-finish
+                // counters so the deltas telescope to the report totals.
+                sampler.flush(engine.telemetry_counters(mem), engine.policy().telemetry());
+                intervals = Some(sampler.into_intervals());
+            }
+            reports[i] = self.collect_report(workloads[i].name(), i, engine, mem);
+        })?;
+        for r in &mut reports {
+            r.llc = mem.llc.stats;
         }
-        engine.finish();
-        let telemetry = engine.take_sampler().map(|mut sampler| {
-            // Close the final partial interval against the post-finish
-            // counters so the deltas telescope to the report totals.
-            let now = engine.telemetry_counters(&mem);
-            sampler.flush(now, engine.policy().telemetry());
-            let (events, events_seen) = match mem.take_events() {
-                Some(ring) => {
-                    let seen = ring.seen();
-                    (ring.into_events(), seen)
-                }
-                None => (Vec::new(), 0),
-            };
+        let telemetry = intervals.map(|intervals| {
+            let (events_seen, events) = mem
+                .take_events()
+                .map_or((0, Vec::new()), |ring| (ring.seen(), ring.into_events()));
             TelemetryRun {
-                intervals: sampler.into_intervals(),
+                intervals,
                 events,
                 events_seen,
             }
@@ -481,122 +489,101 @@ impl SimulationBuilder {
             warmup: t_warmup.duration_since(t_setup),
             measure: t_warmup.elapsed(),
         };
-        let report = self.collect_report(workload.name(), &engine, &mem);
-        Ok((report, timings, telemetry))
+        Ok(RunOutput {
+            reports,
+            timings,
+            telemetry,
+        })
     }
 
-    /// Runs a single workload on a single core.
+    /// Runs a single workload on a single core; panics when physical
+    /// memory runs out.
     pub fn run_workload(&self, workload: &dyn TraceFactory) -> Report {
-        self.run_single(workload, None).0
+        self.try_run_workload(workload)
+            .expect("out of physical memory")
     }
 
     /// Runs a single workload, surfacing physical-memory exhaustion as an
-    /// error instead of panicking (campaign cells use this so one OOM cell
-    /// doesn't sink the whole grid).
+    /// error instead of panicking.
     pub fn try_run_workload(&self, workload: &dyn TraceFactory) -> Result<Report, OomError> {
-        Ok(self.try_run_single(workload, None)?.0)
+        Ok(self.run(&[workload], None)?.reports.swap_remove(0))
     }
 
-    /// Runs a single workload with telemetry collection.
+    /// Runs a single workload with telemetry collection; panics when
+    /// physical memory runs out.
     pub fn run_workload_with_telemetry(
         &self,
         workload: &dyn TraceFactory,
         cfg: &TelemetryConfig,
     ) -> (Report, TelemetryRun) {
-        let (report, _, telemetry) = self.run_single(workload, Some(cfg));
-        (report, telemetry.expect("sampler was attached"))
+        let mut out = self
+            .run(&[workload], Some(cfg))
+            .expect("out of physical memory");
+        (
+            out.reports.swap_remove(0),
+            out.telemetry.expect("telemetry was requested"),
+        )
     }
 
-    /// Runs a single workload, also returning wall-clock phase timings.
-    pub fn run_workload_timed(&self, workload: &dyn TraceFactory) -> (Report, PhaseTimings) {
-        let (report, timings, _) = self.run_single(workload, None);
-        (report, timings)
-    }
-
-    /// Fallible variant of [`Self::run_workload_timed`]: campaign cells use
-    /// this so one out-of-memory cell surfaces as a per-cell failure
-    /// instead of sinking the whole grid.
-    pub fn try_run_workload_timed(
-        &self,
-        workload: &dyn TraceFactory,
-    ) -> Result<(Report, PhaseTimings), OomError> {
-        let (report, timings, _) = self.try_run_single(workload, None)?;
-        Ok((report, timings))
-    }
-
-    /// Runs an `n`-core mix (§IV-A2): cores advance in rough cycle
-    /// lockstep; each core's statistics freeze when it reaches the measured
-    /// instruction quota, and it keeps running (replayed) to preserve
-    /// contention until every core finishes.
-    pub fn run_mix(&self, workloads: &[&dyn TraceFactory]) -> MixReport {
-        self.try_run_mix(workloads).expect("out of physical memory")
-    }
-
-    /// Fallible variant of [`run_mix`](Self::run_mix); see
-    /// [`try_run_workload`](Self::try_run_workload).
+    /// Runs an `n`-core mix (§IV-A2) and keeps the per-core core and OS
+    /// statistics, frozen when each core reaches its measured quota, plus
+    /// the shared LLC's. A core that reaches its quota stops running; the
+    /// others go on until each reaches its own. See [`run`](Self::run).
     pub fn try_run_mix(&self, workloads: &[&dyn TraceFactory]) -> Result<MixReport, OomError> {
-        let n = workloads.len();
-        assert!(n > 0, "a mix needs at least one workload");
-        let (mut mem, mut os) = self.make_mem_and_os(n);
-        let mut engines: Vec<CoreEngine> = (0..n).map(|i| self.make_engine(i)).collect();
-        let mut traces: Vec<_> = workloads.iter().map(|w| w.build()).collect();
-
-        // Warm-up all cores in rough lockstep.
-        let mut warmed = vec![false; n];
-        while warmed.iter().any(|w| !w) {
-            let pending: Vec<bool> = warmed.iter().map(|w| !w).collect();
-            let i = next_core(&engines, &pending);
-            let instr = traces[i].next_instr();
-            engines[i].step(&mut mem, &mut os, &instr)?;
-            if engines[i].instructions() >= self.warmup {
-                warmed[i] = true;
-            }
-        }
-        if let Some(o) = os.as_mut() {
-            o.reset_stats();
-        }
-        mem.reset_stats();
-        for e in &mut engines {
-            e.reset_stats(&mem);
-        }
-
-        // Measured phase.
-        let mut frozen: Vec<Option<pagecross_types::CoreStats>> = vec![None; n];
-        let mut frozen_os: Vec<pagecross_types::OsStats> = vec![Default::default(); n];
-        while frozen.iter().any(Option::is_none) {
-            let pending: Vec<bool> = frozen.iter().map(Option::is_none).collect();
-            let i = next_core(&engines, &pending);
-            let instr = traces[i].next_instr();
-            engines[i].step(&mut mem, &mut os, &instr)?;
-            if frozen[i].is_none() && engines[i].instructions() >= self.instructions {
-                engines[i].finish();
-                frozen[i] = Some(engines[i].stats);
-                frozen_os[i] = engines[i].os_stats;
-            }
-        }
-
-        Ok(MixReport {
-            workloads: workloads.iter().map(|w| w.name().to_string()).collect(),
-            cores: frozen
-                .into_iter()
-                .map(|s| s.expect("all cores frozen"))
-                .collect(),
-            os: frozen_os,
-            llc: mem.llc.stats,
-        })
+        self.run(workloads, None).map(MixReport::from)
     }
 }
 
-/// Picks the laggard core among those still eligible (`true` in `mask`);
-/// falls back to any eligible core when all are done.
-fn next_core(engines: &[CoreEngine], mask: &[bool]) -> usize {
+/// The cores of one run and their instruction streams.
+struct Cores {
+    engines: Vec<CoreEngine>,
+    traces: Vec<Box<dyn TraceSource>>,
+    /// Cores still short of the current phase's quota.
+    pending: Vec<bool>,
+}
+
+impl Cores {
+    /// Steps the laggard pending core until every core has retired `quota`
+    /// instructions since its last `reset_stats`. A core's quota is checked
+    /// before it is stepped, so a zero quota steps nothing; `on_quota` sees
+    /// each core once, when it reaches its quota.
+    fn run_to(
+        &mut self,
+        quota: u64,
+        mem: &mut MemorySystem,
+        os: &mut Option<Os>,
+        mut on_quota: impl FnMut(usize, &mut CoreEngine, &MemorySystem),
+    ) -> Result<(), OomError> {
+        self.pending.fill(true);
+        while let Some(i) = next_core(&self.engines, &self.pending) {
+            self.pending[i] = false;
+            // Core i stays the laggard until its clock passes the runner-up.
+            let rival =
+                next_core(&self.engines, &self.pending).map(|j| (self.engines[j].cycle(), j));
+            let engine = &mut self.engines[i];
+            while engine.instructions() < quota && rival.is_none_or(|r| (engine.cycle(), i) < r) {
+                let instr = self.traces[i].next_instr();
+                engine.step(mem, os, &instr)?;
+            }
+            if engine.instructions() < quota {
+                self.pending[i] = true;
+            } else {
+                on_quota(i, engine, mem);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Picks the laggard core among those still pending (`true` in `mask`);
+/// the lowest index wins a tie. `None` once no core is pending.
+fn next_core(engines: &[CoreEngine], mask: &[bool]) -> Option<usize> {
     engines
         .iter()
         .enumerate()
         .filter(|(i, _)| mask[*i])
         .min_by_key(|(_, e)| e.cycle())
         .map(|(i, _)| i)
-        .expect("at least one eligible core")
 }
 
 impl Default for SimulationBuilder {

@@ -21,7 +21,7 @@ pub use builder::{L2PrefetcherKind, PgcPolicyKind, PrefetcherKind, SimulationBui
 pub use config::{BoundaryMode, CoreConfig};
 pub use pagecross_os::{Os, OsConfig};
 pub use pagecross_telemetry::{PhaseTimings, TelemetryConfig, TelemetryRun};
-pub use report::{MixReport, Report};
+pub use report::{MixReport, Report, RunOutput};
 pub use trace::{FnTrace, Instr, Op, TraceFactory, TraceSource};
 
 #[cfg(test)]
@@ -158,7 +158,8 @@ mod tests {
         let m = SimulationBuilder::new()
             .warmup(2_000)
             .instructions(5_000)
-            .run_mix(&[&Stream, &Stream]);
+            .try_run_mix(&[&Stream, &Stream])
+            .expect("fits in memory");
         assert_eq!(m.cores.len(), 2);
         for c in &m.cores {
             assert_eq!(c.instructions, 5_000);

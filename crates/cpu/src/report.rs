@@ -1,5 +1,6 @@
 //! Simulation reports: everything the paper's figures and tables read.
 
+use pagecross_telemetry::{PhaseTimings, TelemetryRun};
 use pagecross_types::{CacheStats, CoreStats, OsStats, PrefetchStats, TlbStats, WalkStats};
 
 /// The result of one single-core simulation.
@@ -119,6 +120,18 @@ impl Report {
     }
 }
 
+/// Everything [`SimulationBuilder::run`](crate::SimulationBuilder::run)
+/// returns.
+#[derive(Clone, Debug)]
+pub struct RunOutput {
+    /// One report per core, in workload order.
+    pub reports: Vec<Report>,
+    /// Host wall-clock per phase.
+    pub timings: PhaseTimings,
+    /// Core 0's telemetry, when it was requested.
+    pub telemetry: Option<TelemetryRun>,
+}
+
 /// The result of one multi-core mix simulation.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MixReport {
@@ -130,6 +143,17 @@ pub struct MixReport {
     pub os: Vec<OsStats>,
     /// Shared LLC statistics at the end of the run.
     pub llc: CacheStats,
+}
+
+impl From<RunOutput> for MixReport {
+    fn from(out: RunOutput) -> Self {
+        MixReport {
+            workloads: out.reports.iter().map(|r| r.workload.clone()).collect(),
+            cores: out.reports.iter().map(|r| r.core).collect(),
+            os: out.reports.iter().map(|r| r.os).collect(),
+            llc: out.reports[0].llc,
+        }
+    }
 }
 
 impl MixReport {
@@ -180,19 +204,21 @@ mod tests {
 
     #[test]
     fn weighted_ipc_sums_relative_progress() {
-        let mut m = MixReport::default();
-        m.cores = vec![
-            CoreStats {
-                instructions: 100,
-                cycles: 100,
-                ..Default::default()
-            }, // IPC 1.0
-            CoreStats {
-                instructions: 100,
-                cycles: 200,
-                ..Default::default()
-            }, // IPC 0.5
-        ];
+        let m = MixReport {
+            cores: vec![
+                CoreStats {
+                    instructions: 100,
+                    cycles: 100,
+                    ..Default::default()
+                }, // IPC 1.0
+                CoreStats {
+                    instructions: 100,
+                    cycles: 200,
+                    ..Default::default()
+                }, // IPC 0.5
+            ],
+            ..Default::default()
+        };
         let w = m.weighted_ipc(&[2.0, 1.0]).expect("matching lengths");
         assert!((w - 1.0).abs() < 1e-12, "0.5 + 0.5");
     }

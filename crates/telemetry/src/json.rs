@@ -368,10 +368,12 @@ mod tests {
     use pagecross_types::{IntervalRecord, PolicyTelemetry};
 
     fn record(seq: u64, instrs: u64, cycles: u64) -> IntervalRecord {
-        let mut delta = TelemetryCounters::default();
-        delta.instructions = instrs;
-        delta.cycles = cycles;
-        delta.l1d_misses = 3;
+        let delta = TelemetryCounters {
+            instructions: instrs,
+            cycles,
+            l1d_misses: 3,
+            ..Default::default()
+        };
         IntervalRecord {
             seq,
             end_instructions: (seq + 1) * instrs,

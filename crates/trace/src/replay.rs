@@ -25,7 +25,7 @@ const STREAM_DEPTH: usize = 2;
 /// A recorded trace, openable as a workload.
 ///
 /// Implements [`TraceFactory`], so a `.pct` file drops into
-/// `SimulationBuilder::run_workload`, `run_mix` and campaign grids
+/// `SimulationBuilder::run` (single runs and mixes) and campaign grids
 /// unchanged. `name()` reports the recorded workload's name — a replayed
 /// report is indistinguishable from (and bit-identical to) the direct run
 /// it was recorded from.

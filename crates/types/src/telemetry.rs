@@ -448,9 +448,11 @@ mod tests {
 
     #[test]
     fn counter_delta_and_entries_agree() {
-        let mut a = TelemetryCounters::default();
-        a.instructions = 100;
-        a.l1d_misses = 7;
+        let a = TelemetryCounters {
+            instructions: 100,
+            l1d_misses: 7,
+            ..Default::default()
+        };
         let mut b = a;
         b.instructions = 160;
         b.l1d_misses = 9;

@@ -248,7 +248,8 @@ fn multicore_mix_weighted_speedup() {
     let m = SimulationBuilder::new()
         .warmup(3_000)
         .instructions(8_000)
-        .run_mix(&ws);
+        .try_run_mix(&ws)
+        .expect("fits in memory");
     assert_eq!(m.cores.len(), 4);
     for c in &m.cores {
         assert_eq!(c.instructions, 8_000);

@@ -8,8 +8,8 @@
 //! Regenerate with:
 //! `cargo run -p pagecross-bench --example golden_capture`
 
-use pagecross::cpu::{PgcPolicyKind, PrefetcherKind, Report, SimulationBuilder};
-use pagecross::workloads::{suite, SuiteId};
+use pagecross::cpu::{OsConfig, PgcPolicyKind, PrefetcherKind, Report, SimulationBuilder};
+use pagecross::workloads::{random_mixes, suite, SuiteId, Workload};
 
 /// Locked counters for one (workload, prefetcher, policy) configuration,
 /// run with warmup 5 000 / measured 20 000 and the default seed.
@@ -213,4 +213,97 @@ fn replayed_traces_reproduce_golden_counters() {
         );
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Exact counters of one mix: the `Debug` rendering of every core's
+/// `CoreStats` and `OsStats`, and of the shared LLC's `CacheStats`.
+struct MixGolden {
+    workloads: &'static [&'static str],
+    cores: &'static [(&'static str, &'static str)],
+    llc: &'static str,
+}
+
+const OS_OFF: &str = "OsStats { minor_faults: 0, major_faults: 0, reclaims: 0, thp_promotions: 0, thp_demotions: 0, shootdowns: 0, ipis_received: 0, fault_cycles: 0 }";
+
+/// `random_mixes(1, 4, 42)[0]` with Berti + DRIPPER and the OS off.
+const MIX4: MixGolden = MixGolden {
+    workloads: &["spec17.s33", "qmm_int.s02", "qmm_int.s04", "qmm_fp.s12"],
+    cores: &[
+        ("CoreStats { instructions: 20000, cycles: 260466, loads: 5606, stores: 1426, branch_mispredicts: 95, branches: 2457, stalls: StallBreakdown { rob_full: 1504472, l1d_miss: 0, tlb_walk: 16505, branch_redirect: 6875, fetch_starved: 0, os_fault: 0, drain: 14939, warmup_carry: 5 } }", OS_OFF),
+        ("CoreStats { instructions: 20000, cycles: 286964, loads: 5274, stores: 1263, branch_mispredicts: 255, branches: 2464, stalls: StallBreakdown { rob_full: 1567315, l1d_miss: 0, tlb_walk: 86875, branch_redirect: 18581, fetch_starved: 0, os_fault: 0, drain: 29012, warmup_carry: 1 } }", OS_OFF),
+        ("CoreStats { instructions: 20000, cycles: 300373, loads: 4492, stores: 1156, branch_mispredicts: 245, branches: 2317, stalls: StallBreakdown { rob_full: 0, l1d_miss: 367672, tlb_walk: 1378294, branch_redirect: 16461, fetch_starved: 0, os_fault: 0, drain: 19810, warmup_carry: 1 } }", OS_OFF),
+        ("CoreStats { instructions: 20000, cycles: 286256, loads: 5955, stores: 1526, branch_mispredicts: 92, branches: 2359, stalls: StallBreakdown { rob_full: 1661494, l1d_miss: 0, tlb_walk: 0, branch_redirect: 6420, fetch_starved: 0, os_fault: 0, drain: 29621, warmup_carry: 1 } }", OS_OFF),
+    ],
+    llc: "CacheStats { demand_accesses: 5628, demand_misses: 5624, prefetch_accesses: 5462, prefetch_hits: 6, prefetch_fills: 5300, prefetch_useful: 0, prefetch_useless: 0, pgc_fills: 259, pgc_useful: 0, pgc_useless: 0, writebacks: 0 }",
+};
+
+/// `gap.s00` + `gap.s01` with IPCP + Permit and the OS at 64 MB, THP 0.5:
+/// faults, promotions, shootdowns and IPIs all fire.
+const MIX2_OS: MixGolden = MixGolden {
+    workloads: &["gap.s00", "gap.s01"],
+    cores: &[
+        ("CoreStats { instructions: 20000, cycles: 230372, loads: 5999, stores: 1464, branch_mispredicts: 89, branches: 2347, stalls: StallBreakdown { rob_full: 21104, l1d_miss: 309054, tlb_walk: 21317, branch_redirect: 6562, fetch_starved: 0, os_fault: 977815, drain: 26379, warmup_carry: 1 } }",
+         "OsStats { minor_faults: 448, major_faults: 0, reclaims: 0, thp_promotions: 1, thp_demotions: 0, shootdowns: 1, ipis_received: 1, fault_cycles: 1794800 }"),
+        ("CoreStats { instructions: 20000, cycles: 230506, loads: 5965, stores: 1460, branch_mispredicts: 103, branches: 2372, stalls: StallBreakdown { rob_full: 73862, l1d_miss: 431639, tlb_walk: 0, branch_redirect: 7609, fetch_starved: 0, os_fault: 823549, drain: 26375, warmup_carry: 2 } }",
+         "OsStats { minor_faults: 366, major_faults: 0, reclaims: 0, thp_promotions: 1, thp_demotions: 0, shootdowns: 1, ipis_received: 1, fault_cycles: 1466800 }"),
+    ],
+    llc: "CacheStats { demand_accesses: 2525, demand_misses: 2525, prefetch_accesses: 2892, prefetch_hits: 0, prefetch_fills: 2579, prefetch_useful: 0, prefetch_useless: 0, pgc_fills: 0, pgc_useful: 0, pgc_useless: 0, writebacks: 0 }",
+};
+
+fn check_mix(builder: SimulationBuilder, mix: &[&Workload], g: &MixGolden) {
+    use pagecross::cpu::trace::TraceFactory;
+    let names: Vec<&str> = mix.iter().map(|w| w.name()).collect();
+    assert_eq!(
+        names, g.workloads,
+        "registry order changed; regenerate goldens"
+    );
+    let refs: Vec<&dyn TraceFactory> = mix.iter().map(|w| *w as &dyn TraceFactory).collect();
+    let m = builder
+        .warmup(5_000)
+        .instructions(20_000)
+        .try_run_mix(&refs)
+        .expect("the mix fits in memory");
+    assert_eq!(m.workloads, g.workloads);
+    assert_eq!(m.cores.len(), g.cores.len());
+    for (i, (core, os)) in g.cores.iter().enumerate() {
+        assert_eq!(format!("{:?}", m.cores[i]), *core, "core {i}: CoreStats");
+        assert_eq!(format!("{:?}", m.os[i]), *os, "core {i}: OsStats");
+    }
+    assert_eq!(format!("{:?}", m.llc), g.llc, "shared LLC");
+}
+
+#[test]
+fn four_core_mix_counters_are_stable() {
+    let mix = &random_mixes(1, 4, 42)[0];
+    check_mix(SimulationBuilder::new(), mix, &MIX4);
+}
+
+#[test]
+fn two_core_mix_with_os_counters_are_stable() {
+    let gap = suite(SuiteId::Gap).workloads();
+    let os = OsConfig {
+        phys_mem_bytes: 64 << 20,
+        thp: 0.5,
+        ..OsConfig::default()
+    };
+    let builder = SimulationBuilder::new()
+        .prefetcher(PrefetcherKind::Ipcp)
+        .pgc_policy(PgcPolicyKind::PermitPgc)
+        .os(os);
+    check_mix(builder, &[&gap[0], &gap[1]], &MIX2_OS);
+}
+
+/// A one-workload mix is the single-core run: same core, OS and LLC
+/// counters, also when warm-up is empty.
+#[test]
+fn one_core_mix_equals_single_run() {
+    let w = &suite(SuiteId::Gap).workloads()[0];
+    for warmup in [5_000, 0] {
+        let b = SimulationBuilder::new().warmup(warmup).instructions(20_000);
+        let single = b.try_run_workload(w).expect("fits in memory");
+        let mix = b.try_run_mix(&[w]).expect("fits in memory");
+        assert_eq!(mix.cores, [single.core], "warmup {warmup}: CoreStats");
+        assert_eq!(mix.os, [single.os], "warmup {warmup}: OsStats");
+        assert_eq!(mix.llc, single.llc, "warmup {warmup}: LLC");
+    }
 }
