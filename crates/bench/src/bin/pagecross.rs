@@ -1,5 +1,5 @@
-//! The `pagecross` command-line tool: run, compare and sweep simulations
-//! from the shell. See `pagecross help`.
+//! The `pagecross` command-line tool: single runs, scheme-comparison
+//! campaigns and trace recordings from the shell. See `pagecross help`.
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -3,25 +3,29 @@
 //! Subcommands:
 //!
 //! * `list [--suite <id>]` — print the workload registry;
-//! * `run --workload <name> [--prefetcher p] [--policy q] [...]` — one
-//!   simulation, full report;
-//! * `compare --workload <name> [--prefetcher p]` — Discard vs Permit vs
-//!   DRIPPER in one line;
-//! * `campaign [--suite <id>] [--prefetcher p] [--jobs n] [--per-suite k]
-//!   [--trace-dir <dir>]` — a figure-style (workload × scheme) grid on the
-//!   worker pool, with per-experiment timing and the wall-clock/speedup
-//!   summary; with `--trace-dir`, the grid runs over every `.pct` trace in
-//!   a directory instead of the registry;
+//! * `run (--workload <name> | --trace <path>) [--prefetcher p]
+//!   [--policy q] [...]` — one simulation of a registry workload or of a
+//!   recorded `.pct` trace, full report (a replayed trace's counters are
+//!   bit-identical to the direct run it was recorded from);
+//! * `campaign [--suite <id>] [--per-suite k]` or `campaign (--workload
+//!   <name> | --trace-dir <dir>)`, each with `[--prefetcher p] [--jobs n]`
+//!   — the Discard vs Permit vs DRIPPER grid on the worker pool: one row
+//!   per workload, then per-cell timing and the wall-clock/speedup
+//!   summary. The grid spans a representative cross-suite set, one suite,
+//!   one workload, or every `.pct` trace in a directory;
+//!   `PAGECROSS_SCALE` scales its run lengths;
 //! * `record --workload <name> [--out <path>]` — serialize a workload's
 //!   instruction stream to a `.pct` trace file;
-//! * `replay --trace <path> [...]` — simulate a recorded trace (counters
-//!   are bit-identical to the direct run it was recorded from).
+//! * `check-telemetry --jsonl <path>` — validate a telemetry JSONL file.
 //!
-//! Argument parsing is hand-rolled (the workspace is dependency-minimal);
-//! the parsed command is a plain enum so it is unit-testable.
+//! Parsing is hand-rolled (the workspace is dependency-minimal) and driven
+//! by one flag table, `SUBCOMMANDS`: a flag the table does not list for
+//! the subcommand, or a flag given twice, is an error. The parsed command
+//! is a plain enum so it is unit-testable.
 
 use crate::campaign::{
-    core_schemes, env_jobs, run_grid, CampaignConfig, CampaignRun, Subject, WorkloadResult,
+    core_schemes, env_jobs, env_scale, run_grid, CampaignConfig, CampaignRun, Subject,
+    WorkloadResult,
 };
 use crate::table::fmt_opt_ratio;
 use pagecross_cpu::trace::TraceFactory;
@@ -33,7 +37,8 @@ use pagecross_mem::HugePagePolicy;
 use pagecross_telemetry::{chrome_trace_json, interval_to_json, validate_jsonl};
 use pagecross_trace::TraceReplay;
 use pagecross_types::OsStats;
-use pagecross_workloads::{seen_workloads, suite, SuiteId, Workload};
+use pagecross_workloads::{representative_seen, seen_workloads, suite, SuiteId, Workload};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// A parsed CLI invocation.
@@ -46,28 +51,14 @@ pub enum Command {
     },
     /// Run one simulation.
     Run(RunArgs),
-    /// Compare the three core policies on one workload.
-    Compare {
-        /// Workload name.
-        workload: String,
-        /// L1D prefetcher.
-        prefetcher: PrefetcherKind,
-    },
-    /// Run a figure-style experiment grid on the parallel campaign runner.
+    /// Run the Discard/Permit/DRIPPER grid on the parallel campaign runner.
     Campaign {
-        /// Optional suite restriction (default: representative cross-suite
-        /// set).
-        suite: Option<SuiteId>,
+        /// The workloads the grid spans.
+        grid: Grid,
         /// L1D prefetcher.
         prefetcher: PrefetcherKind,
         /// Worker threads (0 = `PAGECROSS_JOBS` / all cores).
         jobs: usize,
-        /// Cap on workloads taken per suite (`None` = all of a filtered
-        /// suite, or 4 per suite for the cross-suite set).
-        per_suite: Option<usize>,
-        /// Run the grid over every `.pct` trace in this directory instead
-        /// of registry workloads.
-        trace_dir: Option<String>,
     },
     /// Record a workload's instruction stream to a `.pct` trace file.
     Record {
@@ -80,8 +71,6 @@ pub enum Command {
         /// Measured instructions to record (0 = workload default).
         instructions: u64,
     },
-    /// Simulate a recorded `.pct` trace.
-    Replay(ReplayArgs),
     /// Validate a telemetry JSONL file emitted by `--telemetry-out`.
     CheckTelemetry {
         /// Path of the JSONL file.
@@ -91,9 +80,35 @@ pub enum Command {
     Help,
 }
 
-/// The imitation-OS flags shared by `run` and `replay` (`--os`,
-/// `--phys-mem`, `--thp`, `--fault-ns`).
+/// What `run` simulates.
 #[derive(Clone, Debug, PartialEq)]
+pub enum Source {
+    /// A registry workload, by name (`--workload`).
+    Workload(String),
+    /// A recorded `.pct` trace, by path (`--trace`).
+    Trace(String),
+}
+
+/// The workloads a `campaign` grid spans.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Grid {
+    /// Registry workloads (`--suite`, `--per-suite`).
+    Registry {
+        /// Suite restriction (`None` = representative cross-suite set).
+        suite: Option<SuiteId>,
+        /// Cap on workloads taken per suite (`None` = all of a filtered
+        /// suite, or 4 per suite for the cross-suite set).
+        per_suite: Option<usize>,
+    },
+    /// One registry workload (`--workload`).
+    Workload(String),
+    /// Every `.pct` trace in a directory (`--trace-dir`).
+    TraceDir(String),
+}
+
+/// The imitation-OS flags of `run` (`--os`, `--phys-mem`, `--thp`,
+/// `--fault-ns`).
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct OsArgs {
     /// `--os on` enables the OS model (off by default).
     pub enabled: bool,
@@ -104,17 +119,6 @@ pub struct OsArgs {
     /// Minor-fault handler latency in nanoseconds (0 = [`OsConfig`]
     /// default cycle costs; a major fault costs 8x the minor).
     pub fault_ns: u64,
-}
-
-impl Default for OsArgs {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            phys_mem_bytes: 0,
-            thp: 0.0,
-            fault_ns: 0,
-        }
-    }
 }
 
 impl OsArgs {
@@ -138,56 +142,11 @@ impl OsArgs {
     }
 }
 
-/// Arguments of the `replay` subcommand.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ReplayArgs {
-    /// Path of the `.pct` trace.
-    pub trace: String,
-    /// L1D prefetcher.
-    pub prefetcher: PrefetcherKind,
-    /// Page-cross policy.
-    pub policy: PgcPolicyKind,
-    /// L2C prefetcher.
-    pub l2: L2PrefetcherKind,
-    /// Huge-page fraction (0 disables).
-    pub huge_fraction: f64,
-    /// Warm-up instructions (0 = first third of the recording).
-    pub warmup: u64,
-    /// Measured instructions (0 = rest of the recording).
-    pub instructions: u64,
-    /// Interval time-series JSONL output path (`None` = telemetry off).
-    pub telemetry_out: Option<String>,
-    /// Retired instructions per telemetry sampling interval.
-    pub telemetry_interval: u64,
-    /// Chrome trace-event JSON output path (`None` = event tracing off).
-    pub telemetry_trace: Option<String>,
-    /// Imitation-OS model flags.
-    pub os: OsArgs,
-}
-
-impl Default for ReplayArgs {
-    fn default() -> Self {
-        Self {
-            trace: String::new(),
-            prefetcher: PrefetcherKind::Berti,
-            policy: PgcPolicyKind::Dripper,
-            l2: L2PrefetcherKind::None,
-            huge_fraction: 0.0,
-            warmup: 0,
-            instructions: 0,
-            telemetry_out: None,
-            telemetry_interval: DEFAULT_TELEMETRY_INTERVAL,
-            telemetry_trace: None,
-            os: OsArgs::default(),
-        }
-    }
-}
-
 /// Arguments of the `run` subcommand.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunArgs {
-    /// Workload name (registry lookup).
-    pub workload: String,
+    /// What to simulate.
+    pub source: Source,
     /// L1D prefetcher.
     pub prefetcher: PrefetcherKind,
     /// Page-cross policy.
@@ -196,9 +155,11 @@ pub struct RunArgs {
     pub l2: L2PrefetcherKind,
     /// Huge-page fraction (0 disables).
     pub huge_fraction: f64,
-    /// Warm-up instructions (0 = workload default).
+    /// Warm-up instructions (0 = the source's default: the workload's, or
+    /// the first third of a recording).
     pub warmup: u64,
-    /// Measured instructions (0 = workload default).
+    /// Measured instructions (0 = the source's default: the workload's, or
+    /// the rest of a recording).
     pub instructions: u64,
     /// Interval time-series JSONL output path (`None` = telemetry off).
     pub telemetry_out: Option<String>,
@@ -216,7 +177,7 @@ pub const DEFAULT_TELEMETRY_INTERVAL: u64 = 10_000;
 impl Default for RunArgs {
     fn default() -> Self {
         Self {
-            workload: String::new(),
+            source: Source::Workload(String::new()),
             prefetcher: PrefetcherKind::Berti,
             policy: PgcPolicyKind::Dripper,
             l2: L2PrefetcherKind::None,
@@ -243,29 +204,105 @@ impl std::fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-/// Parses the `--telemetry-*` flags shared by `run` and `replay` into the
-/// given argument fields.
-fn parse_telemetry_flags(
-    kv: &std::collections::HashMap<String, String>,
-    out: &mut Option<String>,
-    interval: &mut u64,
-    trace: &mut Option<String>,
-) -> Result<(), CliError> {
-    if let Some(p) = kv.get("telemetry-out") {
-        *out = Some(p.clone());
-    }
-    if let Some(p) = kv.get("telemetry-interval") {
-        *interval = p.parse::<u64>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-            CliError(format!(
-                "--telemetry-interval expects a positive count, got '{p}'"
-            ))
-        })?;
-    }
-    if let Some(p) = kv.get("telemetry-trace") {
-        *trace = Some(p.clone());
-    }
-    Ok(())
-}
+/// The flag table: every subcommand and the flags (without the leading
+/// `--`) it accepts. Each flag takes exactly one value; [`USAGE`] lists
+/// every flag under its subcommand.
+const SUBCOMMANDS: &[(&str, &[&str])] = &[
+    ("help", &[]),
+    ("list", &["suite"]),
+    (
+        "run",
+        &[
+            "workload",
+            "trace",
+            "prefetcher",
+            "policy",
+            "l2",
+            "huge",
+            "warmup",
+            "instructions",
+            "telemetry-out",
+            "telemetry-interval",
+            "telemetry-trace",
+            "os",
+            "phys-mem",
+            "thp",
+            "fault-ns",
+        ],
+    ),
+    (
+        "campaign",
+        &[
+            "workload",
+            "suite",
+            "per-suite",
+            "trace-dir",
+            "prefetcher",
+            "jobs",
+        ],
+    ),
+    ("record", &["workload", "out", "warmup", "instructions"]),
+    ("check-telemetry", &["jsonl"]),
+];
+
+/// A typed flag value: what it expects (for the error message) and its
+/// parser.
+type Value<T> = (&'static str, fn(&str) -> Option<T>);
+
+const COUNT: Value<u64> = ("a count", |s| s.parse().ok());
+const POSITIVE: Value<u64> = ("a positive count", |s| s.parse().ok().filter(|&n| n >= 1));
+const POSITIVE_USIZE: Value<usize> = ("a positive count", |s| s.parse().ok().filter(|&n| n >= 1));
+const FRACTION: Value<f64> = ("a fraction in [0, 1]", |s| {
+    s.parse().ok().filter(|f| (0.0..=1.0).contains(f))
+});
+const PHYS_MEM: Value<u64> = ("a size of at least 64M (e.g. 64M, 2G)", |s| {
+    parse_size(s).filter(|&n| n >= 64 << 20)
+});
+const ON_OFF: Value<bool> = ("on|off", |s| match s {
+    "on" => Some(true),
+    "off" => Some(false),
+    _ => None,
+});
+const SUITE: Value<SuiteId> = (
+    "a suite (spec06 spec17 gap ligra parsec gkb5 qmm_int qmm_fp)",
+    |s| SuiteId::ALL.into_iter().find(|id| id.label() == s),
+);
+const PREFETCHER: Value<PrefetcherKind> = ("berti|ipcp|bop|stride|next-line|none", |s| {
+    Some(match s {
+        "none" => PrefetcherKind::None,
+        "next-line" => PrefetcherKind::NextLine,
+        "stride" => PrefetcherKind::Stride,
+        "berti" => PrefetcherKind::Berti,
+        "ipcp" => PrefetcherKind::Ipcp,
+        "bop" => PrefetcherKind::Bop,
+        _ => return None,
+    })
+});
+const POLICY: Value<PgcPolicyKind> = (
+    "dripper|permit|discard|discard-ptw|iso-storage|dripper-sf|ppf|ppf-dthr",
+    |s| {
+        Some(match s {
+            "permit" => PgcPolicyKind::PermitPgc,
+            "discard" => PgcPolicyKind::DiscardPgc,
+            "discard-ptw" => PgcPolicyKind::DiscardPtw,
+            "iso-storage" => PgcPolicyKind::IsoStorage,
+            "dripper" => PgcPolicyKind::Dripper,
+            "dripper-sf" => PgcPolicyKind::DripperSf,
+            "ppf" => PgcPolicyKind::Ppf,
+            "ppf-dthr" => PgcPolicyKind::PpfDthr,
+            _ => return None,
+        })
+    },
+);
+const L2: Value<L2PrefetcherKind> = ("none|spp|ipcp|bop", |s| {
+    Some(match s {
+        "none" => L2PrefetcherKind::None,
+        "spp" => L2PrefetcherKind::Spp,
+        "ipcp" => L2PrefetcherKind::Ipcp,
+        "bop" => L2PrefetcherKind::Bop,
+        _ => return None,
+    })
+});
 
 /// Parses a byte-size literal: plain bytes, or with a `K`/`M`/`G` suffix
 /// (binary multiples, case-insensitive), e.g. `64M`, `2G`, `67108864`.
@@ -279,261 +316,146 @@ fn parse_size(s: &str) -> Option<u64> {
     digits.parse::<u64>().ok()?.checked_mul(mult)
 }
 
-/// Parses the imitation-OS flags shared by `run` and `replay`.
-fn parse_os_flags(
-    kv: &std::collections::HashMap<String, String>,
-    os: &mut OsArgs,
-) -> Result<(), CliError> {
-    if let Some(p) = kv.get("os") {
-        os.enabled = match p.as_str() {
-            "on" => true,
-            "off" => false,
-            _ => return Err(CliError(format!("--os expects on|off, got '{p}'"))),
-        };
-    }
-    if let Some(p) = kv.get("phys-mem") {
-        os.phys_mem_bytes = parse_size(p).filter(|&n| n >= 64 << 20).ok_or_else(|| {
-            CliError(format!(
-                "--phys-mem expects a size of at least 64M (e.g. 64M, 2G), got '{p}'"
-            ))
-        })?;
-    }
-    if let Some(p) = kv.get("thp") {
-        os.thp = p
-            .parse::<f64>()
-            .ok()
-            .filter(|t| (0.0..=1.0).contains(t))
-            .ok_or_else(|| CliError(format!("--thp expects a fraction in [0, 1], got '{p}'")))?;
-    }
-    if let Some(p) = kv.get("fault-ns") {
-        os.fault_ns =
-            p.parse::<u64>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                CliError(format!("--fault-ns expects a positive count, got '{p}'"))
-            })?;
-    }
-    Ok(())
-}
+/// The `--flag value` pairs of one invocation, checked against the flag
+/// table.
+struct Flags<'a>(BTreeMap<&'a str, &'a str>);
 
-fn parse_jobs(s: Option<&str>) -> Result<usize, CliError> {
-    match s {
-        None => Ok(0), // 0 = resolve via env_jobs() at execution time
-        Some(p) => p
-            .parse::<usize>()
-            .ok()
-            .filter(|&j| j >= 1)
-            .ok_or_else(|| CliError(format!("--jobs expects a positive count, got '{p}'"))),
+impl<'a> Flags<'a> {
+    /// Tokenizes the arguments after the subcommand, rejecting stray words,
+    /// missing values, repeated flags and flags not in `allowed`.
+    fn tokenize(cmd: &str, allowed: &[&str], args: &'a [String]) -> Result<Self, CliError> {
+        let mut map = BTreeMap::new();
+        let mut it = args.iter();
+        while let Some(tok) = it.next() {
+            let name = tok
+                .strip_prefix("--")
+                .ok_or_else(|| CliError(format!("expected --flag, got '{tok}'")))?;
+            if !allowed.contains(&name) {
+                return Err(CliError(format!("{cmd} does not take --{name}")));
+            }
+            let value = it
+                .next()
+                .ok_or_else(|| CliError(format!("flag '--{name}' needs a value")))?;
+            if map.insert(name, value.as_str()).is_some() {
+                return Err(CliError(format!("--{name} given more than once")));
+            }
+        }
+        Ok(Self(map))
     }
-}
 
-fn parse_suite(s: &str) -> Result<SuiteId, CliError> {
-    SuiteId::ALL
-        .into_iter()
-        .find(|id| id.label() == s)
-        .ok_or_else(|| {
-            CliError(format!(
-                "unknown suite '{s}' (try: spec06, gap, qmm_int, …)"
-            ))
-        })
-}
-
-fn parse_prefetcher(s: &str) -> Result<PrefetcherKind, CliError> {
-    match s {
-        "none" => Ok(PrefetcherKind::None),
-        "next-line" => Ok(PrefetcherKind::NextLine),
-        "stride" => Ok(PrefetcherKind::Stride),
-        "berti" => Ok(PrefetcherKind::Berti),
-        "ipcp" => Ok(PrefetcherKind::Ipcp),
-        "bop" => Ok(PrefetcherKind::Bop),
-        _ => Err(CliError(format!("unknown prefetcher '{s}'"))),
+    /// The raw value of `--name`, if given.
+    fn text(&self, name: &str) -> Option<String> {
+        self.0.get(name).map(|v| v.to_string())
     }
-}
 
-fn parse_policy(s: &str) -> Result<PgcPolicyKind, CliError> {
-    match s {
-        "permit" => Ok(PgcPolicyKind::PermitPgc),
-        "discard" => Ok(PgcPolicyKind::DiscardPgc),
-        "discard-ptw" => Ok(PgcPolicyKind::DiscardPtw),
-        "iso-storage" => Ok(PgcPolicyKind::IsoStorage),
-        "dripper" => Ok(PgcPolicyKind::Dripper),
-        "dripper-sf" => Ok(PgcPolicyKind::DripperSf),
-        "ppf" => Ok(PgcPolicyKind::Ppf),
-        "ppf-dthr" => Ok(PgcPolicyKind::PpfDthr),
-        _ => Err(CliError(format!("unknown policy '{s}'"))),
+    /// The value of `--name`, which `cmd` requires.
+    fn required(&self, cmd: &str, name: &str) -> Result<String, CliError> {
+        self.text(name)
+            .ok_or_else(|| CliError(format!("{cmd} requires --{name}")))
     }
-}
 
-fn parse_l2(s: &str) -> Result<L2PrefetcherKind, CliError> {
-    match s {
-        "none" => Ok(L2PrefetcherKind::None),
-        "spp" => Ok(L2PrefetcherKind::Spp),
-        "ipcp" => Ok(L2PrefetcherKind::Ipcp),
-        "bop" => Ok(L2PrefetcherKind::Bop),
-        _ => Err(CliError(format!("unknown l2 prefetcher '{s}'"))),
+    /// The typed value of `--name`, if given.
+    fn value<T>(&self, name: &str, (expects, parse): Value<T>) -> Result<Option<T>, CliError> {
+        self.0
+            .get(name)
+            .map(|v| {
+                parse(v).ok_or_else(|| CliError(format!("--{name} expects {expects}, got '{v}'")))
+            })
+            .transpose()
+    }
+
+    /// Errors when more than one of `names` is given.
+    fn exclusive(&self, names: &[&str]) -> Result<(), CliError> {
+        let given: Vec<&&str> = names.iter().filter(|n| self.0.contains_key(*n)).collect();
+        match given[..] {
+            [a, b, ..] => Err(CliError(format!("--{a} and --{b} cannot be combined"))),
+            _ => Ok(()),
+        }
     }
 }
 
 /// Parses an argument vector (without the program name).
 pub fn parse(args: &[String]) -> Result<Command, CliError> {
-    let mut it = args.iter().map(String::as_str);
-    let Some(cmd) = it.next() else {
+    let Some((cmd, rest)) = args.split_first() else {
         return Ok(Command::Help);
     };
-
-    let mut kv = std::collections::HashMap::new();
-    let rest: Vec<&str> = it.collect();
-    let mut i = 0;
-    while i < rest.len() {
-        let key = rest[i];
-        if !key.starts_with("--") {
-            return Err(CliError(format!("expected --flag, got '{key}'")));
-        }
-        let val = rest
-            .get(i + 1)
-            .ok_or_else(|| CliError(format!("flag '{key}' needs a value")))?;
-        kv.insert(key.trim_start_matches("--").to_string(), val.to_string());
-        i += 2;
-    }
-    let get = |k: &str| kv.get(k).map(String::as_str);
-
-    match cmd {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "list" => Ok(Command::List {
-            suite: get("suite").map(parse_suite).transpose()?,
-        }),
-        "run" => {
-            let mut a = RunArgs {
-                workload: get("workload")
-                    .ok_or_else(|| CliError("run requires --workload <name>".into()))?
-                    .to_string(),
-                ..Default::default()
+    let cmd = match cmd.as_str() {
+        "--help" | "-h" => "help",
+        c => c,
+    };
+    let (_, allowed) = SUBCOMMANDS
+        .iter()
+        .find(|(name, _)| *name == cmd)
+        .ok_or_else(|| CliError(format!("unknown subcommand '{cmd}' (try 'help')")))?;
+    let f = Flags::tokenize(cmd, allowed, rest)?;
+    Ok(match cmd {
+        "help" => Command::Help,
+        "list" => Command::List {
+            suite: f.value("suite", SUITE)?,
+        },
+        "run" => Command::Run(parse_run(&f)?),
+        "campaign" => {
+            f.exclusive(&["workload", "trace-dir", "suite"])?;
+            f.exclusive(&["workload", "trace-dir", "per-suite"])?;
+            let grid = match (f.text("workload"), f.text("trace-dir")) {
+                (Some(w), _) => Grid::Workload(w),
+                (_, Some(dir)) => Grid::TraceDir(dir),
+                _ => Grid::Registry {
+                    suite: f.value("suite", SUITE)?,
+                    per_suite: f.value("per-suite", POSITIVE_USIZE)?,
+                },
             };
-            if let Some(p) = get("prefetcher") {
-                a.prefetcher = parse_prefetcher(p)?;
+            Command::Campaign {
+                grid,
+                prefetcher: f
+                    .value("prefetcher", PREFETCHER)?
+                    .unwrap_or(PrefetcherKind::Berti),
+                // 0 = resolve via env_jobs() at execution time.
+                jobs: f.value("jobs", POSITIVE_USIZE)?.unwrap_or(0),
             }
-            if let Some(p) = get("policy") {
-                a.policy = parse_policy(p)?;
-            }
-            if let Some(p) = get("l2") {
-                a.l2 = parse_l2(p)?;
-            }
-            if let Some(p) = get("huge") {
-                a.huge_fraction = p
-                    .parse()
-                    .map_err(|_| CliError(format!("--huge expects a fraction, got '{p}'")))?;
-            }
-            if let Some(p) = get("warmup") {
-                a.warmup = p
-                    .parse()
-                    .map_err(|_| CliError(format!("--warmup expects a count, got '{p}'")))?;
-            }
-            if let Some(p) = get("instructions") {
-                a.instructions = p
-                    .parse()
-                    .map_err(|_| CliError(format!("--instructions expects a count, got '{p}'")))?;
-            }
-            parse_telemetry_flags(
-                &kv,
-                &mut a.telemetry_out,
-                &mut a.telemetry_interval,
-                &mut a.telemetry_trace,
-            )?;
-            parse_os_flags(&kv, &mut a.os)?;
-            Ok(Command::Run(a))
         }
-        "compare" => Ok(Command::Compare {
-            workload: get("workload")
-                .ok_or_else(|| CliError("compare requires --workload <name>".into()))?
-                .to_string(),
-            prefetcher: get("prefetcher")
-                .map(parse_prefetcher)
-                .transpose()?
-                .unwrap_or(PrefetcherKind::Berti),
-        }),
-        "campaign" => Ok(Command::Campaign {
-            suite: get("suite").map(parse_suite).transpose()?,
-            prefetcher: get("prefetcher")
-                .map(parse_prefetcher)
-                .transpose()?
-                .unwrap_or(PrefetcherKind::Berti),
-            jobs: parse_jobs(get("jobs"))?,
-            per_suite: get("per-suite")
-                .map(|p| {
-                    p.parse::<usize>().ok().filter(|&k| k >= 1).ok_or_else(|| {
-                        CliError(format!("--per-suite expects a positive count, got '{p}'"))
-                    })
-                })
-                .transpose()?,
-            trace_dir: get("trace-dir").map(str::to_string),
-        }),
-        "record" => Ok(Command::Record {
-            workload: get("workload")
-                .ok_or_else(|| CliError("record requires --workload <name>".into()))?
-                .to_string(),
-            out: get("out").map(str::to_string),
-            warmup: get("warmup")
-                .map(|p| {
-                    p.parse()
-                        .map_err(|_| CliError(format!("--warmup expects a count, got '{p}'")))
-                })
-                .transpose()?
-                .unwrap_or(0),
-            instructions: get("instructions")
-                .map(|p| {
-                    p.parse()
-                        .map_err(|_| CliError(format!("--instructions expects a count, got '{p}'")))
-                })
-                .transpose()?
-                .unwrap_or(0),
-        }),
-        "replay" => {
-            let mut a = ReplayArgs {
-                trace: get("trace")
-                    .ok_or_else(|| CliError("replay requires --trace <path>".into()))?
-                    .to_string(),
-                ..Default::default()
-            };
-            if let Some(p) = get("prefetcher") {
-                a.prefetcher = parse_prefetcher(p)?;
-            }
-            if let Some(p) = get("policy") {
-                a.policy = parse_policy(p)?;
-            }
-            if let Some(p) = get("l2") {
-                a.l2 = parse_l2(p)?;
-            }
-            if let Some(p) = get("huge") {
-                a.huge_fraction = p
-                    .parse()
-                    .map_err(|_| CliError(format!("--huge expects a fraction, got '{p}'")))?;
-            }
-            if let Some(p) = get("warmup") {
-                a.warmup = p
-                    .parse()
-                    .map_err(|_| CliError(format!("--warmup expects a count, got '{p}'")))?;
-            }
-            if let Some(p) = get("instructions") {
-                a.instructions = p
-                    .parse()
-                    .map_err(|_| CliError(format!("--instructions expects a count, got '{p}'")))?;
-            }
-            parse_telemetry_flags(
-                &kv,
-                &mut a.telemetry_out,
-                &mut a.telemetry_interval,
-                &mut a.telemetry_trace,
-            )?;
-            parse_os_flags(&kv, &mut a.os)?;
-            Ok(Command::Replay(a))
-        }
-        "check-telemetry" => Ok(Command::CheckTelemetry {
-            jsonl: get("jsonl")
-                .ok_or_else(|| CliError("check-telemetry requires --jsonl <path>".into()))?
-                .to_string(),
-        }),
-        other => Err(CliError(format!(
-            "unknown subcommand '{other}' (try 'help')"
-        ))),
-    }
+        "record" => Command::Record {
+            workload: f.required(cmd, "workload")?,
+            out: f.text("out"),
+            warmup: f.value("warmup", COUNT)?.unwrap_or(0),
+            instructions: f.value("instructions", COUNT)?.unwrap_or(0),
+        },
+        "check-telemetry" => Command::CheckTelemetry {
+            jsonl: f.required(cmd, "jsonl")?,
+        },
+        _ => unreachable!("every subcommand in the flag table has a parse arm"),
+    })
+}
+
+/// Parses the flags of `run`.
+fn parse_run(f: &Flags) -> Result<RunArgs, CliError> {
+    f.exclusive(&["workload", "trace"])?;
+    let source = match (f.text("workload"), f.text("trace")) {
+        (Some(w), _) => Source::Workload(w),
+        (_, Some(t)) => Source::Trace(t),
+        _ => return Err(CliError("run requires --workload or --trace".into())),
+    };
+    let d = RunArgs::default();
+    Ok(RunArgs {
+        source,
+        prefetcher: f.value("prefetcher", PREFETCHER)?.unwrap_or(d.prefetcher),
+        policy: f.value("policy", POLICY)?.unwrap_or(d.policy),
+        l2: f.value("l2", L2)?.unwrap_or(d.l2),
+        huge_fraction: f.value("huge", FRACTION)?.unwrap_or(d.huge_fraction),
+        warmup: f.value("warmup", COUNT)?.unwrap_or(d.warmup),
+        instructions: f.value("instructions", COUNT)?.unwrap_or(d.instructions),
+        telemetry_out: f.text("telemetry-out"),
+        telemetry_interval: f
+            .value("telemetry-interval", POSITIVE)?
+            .unwrap_or(d.telemetry_interval),
+        telemetry_trace: f.text("telemetry-trace"),
+        os: OsArgs {
+            enabled: f.value("os", ON_OFF)?.unwrap_or_default(),
+            phys_mem_bytes: f.value("phys-mem", PHYS_MEM)?.unwrap_or_default(),
+            thp: f.value("thp", FRACTION)?.unwrap_or_default(),
+            fault_ns: f.value("fault-ns", POSITIVE)?.unwrap_or_default(),
+        },
+    })
 }
 
 /// Usage text.
@@ -542,37 +464,36 @@ pagecross — simulate page-cross prefetch filtering (HPCA'25 reproduction)
 
 USAGE:
   pagecross list [--suite <id>]
-  pagecross run --workload <name> [--prefetcher berti|ipcp|bop|stride|next-line|none]
+  pagecross run (--workload <name> | --trace <path>)
+                [--prefetcher berti|ipcp|bop|stride|next-line|none]
                 [--policy dripper|permit|discard|discard-ptw|iso-storage|dripper-sf|ppf|ppf-dthr]
                 [--l2 none|spp|ipcp|bop] [--huge <fraction>]
                 [--warmup <n>] [--instructions <n>]
                 [--telemetry-out <path.jsonl>] [--telemetry-interval <n>]
                 [--telemetry-trace <path.json>]
                 [--os on|off] [--phys-mem <size>] [--thp <f>] [--fault-ns <n>]
-  pagecross compare --workload <name> [--prefetcher <p>]
-  pagecross campaign [--suite <id>] [--prefetcher <p>] [--jobs <n>] [--per-suite <k>]
-                     [--trace-dir <dir>]
+  pagecross campaign [--suite <id>] [--per-suite <k>] [--prefetcher <p>] [--jobs <n>]
+  pagecross campaign (--workload <name> | --trace-dir <dir>) [--prefetcher <p>] [--jobs <n>]
   pagecross record --workload <name> [--out <path>] [--warmup <n>] [--instructions <n>]
-  pagecross replay --trace <path> [--prefetcher <p>] [--policy <q>] [--l2 <p>]
-                   [--huge <fraction>] [--warmup <n>] [--instructions <n>]
-                   [--telemetry-out <path.jsonl>] [--telemetry-interval <n>]
-                   [--telemetry-trace <path.json>]
-                   [--os on|off] [--phys-mem <size>] [--thp <f>] [--fault-ns <n>]
   pagecross check-telemetry --jsonl <path>
 
 Suites: spec06 spec17 gap ligra parsec gkb5 qmm_int qmm_fp
 
+campaign runs Discard, Permit and DRIPPER on every workload of its grid
+and prints one row per workload (IPC under Discard, speedups of the
+other two), then per-cell timing. The grid is a representative
+cross-suite set by default, one --suite, one --workload, or every .pct
+trace in a --trace-dir. --per-suite caps the workloads taken per suite
+(default: all of a filtered --suite, or 4 per suite for the cross-suite
+set). PAGECROSS_SCALE multiplies every cell's run length (default 1).
 Campaigns run on a worker pool: --jobs (or PAGECROSS_JOBS) sets the
 thread count, defaulting to all available cores. Results are
 deterministic for a given seed regardless of the worker count.
---per-suite caps the workloads taken per suite (default: all of a
-filtered --suite, or 4 per suite for the cross-suite set).
 
 record serializes a workload's stream to a compact checksummed .pct
 file (default length: the workload's warm-up + measured defaults).
-replay simulates such a file; with default lengths on both sides, the
-replayed counters are bit-identical to the direct run. campaign
---trace-dir sweeps the scheme grid over every .pct file in a directory.
+run --trace simulates such a file; with default lengths on both sides,
+the replayed counters are bit-identical to the direct run.
 
 Telemetry: --telemetry-out samples every stats delta each
 --telemetry-interval retired instructions (default 10000) into a JSONL
@@ -593,9 +514,9 @@ faults cost 8x). With --os off (the default) every report is
 bit-identical to a build without the OS model.
 ";
 
-/// Prints the standard single-run report block (shared by `run` and
-/// `replay`, so a replayed trace can be diffed against its direct run with
-/// plain text tools).
+/// Prints the standard single-run report block (the same for a workload and
+/// for its recorded trace, so a replay can be diffed against the direct run
+/// with plain text tools).
 fn print_report(r: &Report) {
     println!("workload     {}", r.workload);
     println!("prefetcher   {} / policy {}", r.prefetcher, r.policy);
@@ -646,24 +567,38 @@ fn print_report(r: &Report) {
     }
 }
 
-/// Runs `builder` over `w`, collecting telemetry when either output path
-/// is set, and writes the requested files. Returns the report plus the
-/// telemetry summary lines to print after the report block (so the report
-/// itself stays diffable between `run` and `replay`).
+/// Builds the simulation `a` describes over `subject`, runs it (collecting
+/// telemetry when either output path is set) and writes the requested
+/// telemetry files. Returns the report plus the telemetry summary lines to
+/// print after the report block (so the report itself stays diffable
+/// between a direct run and a replayed trace).
 fn simulate_with_telemetry(
-    builder: &SimulationBuilder,
-    w: &dyn TraceFactory,
-    out: Option<&str>,
-    interval: u64,
-    trace: Option<&str>,
+    a: &RunArgs,
+    subject: &dyn Subject,
 ) -> Result<(Report, Vec<String>), CliError> {
+    let (dw, di) = subject.lengths();
+    let mut builder = SimulationBuilder::new()
+        .prefetcher(a.prefetcher)
+        .pgc_policy(a.policy)
+        .l2_prefetcher(a.l2)
+        .huge_pages(if a.huge_fraction > 0.0 {
+            HugePagePolicy::Fraction(a.huge_fraction)
+        } else {
+            HugePagePolicy::None
+        })
+        .warmup(or_default(a.warmup, dw))
+        .instructions(or_default(a.instructions, di));
+    if let Some(cfg) = a.os.to_config() {
+        builder = builder.os(cfg);
+    }
+    let (out, trace) = (a.telemetry_out.as_deref(), a.telemetry_trace.as_deref());
     let tcfg = (out.is_some() || trace.is_some()).then(|| TelemetryConfig {
-        interval,
+        interval: a.telemetry_interval,
         events: trace.is_some(),
         ..TelemetryConfig::default()
     });
     let mut run = builder
-        .run(&[w], tcfg.as_ref())
+        .run(&[subject.factory()], tcfg.as_ref())
         .map_err(|e| CliError(format!("simulation aborted: {e}")))?;
     let report = run.reports.swap_remove(0);
     let mut lines = Vec::new();
@@ -695,6 +630,24 @@ fn simulate_with_telemetry(
     Ok((report, lines))
 }
 
+/// `n`, or `default` when `n` is 0 (a length flag left unset).
+fn or_default(n: u64, default: u64) -> u64 {
+    if n > 0 {
+        n
+    } else {
+        default
+    }
+}
+
+/// Opens a `.pct` trace after a full scan (every chunk CRC + end marker),
+/// so a trace corrupted past the header is a clean CLI error naming the
+/// file, not a panic halfway through a simulation or on a worker thread.
+fn open_trace(path: &Path) -> Result<TraceReplay, CliError> {
+    pagecross_trace::verify_file(path)
+        .and_then(|_| TraceReplay::open(path))
+        .map_err(|e| CliError(format!("cannot open trace '{}': {e}", path.display())))
+}
+
 /// Collects the `.pct` files of a directory, sorted by name so the grid
 /// order (and therefore the output) is stable across filesystems.
 fn trace_dir_replays(dir: &Path) -> Result<Vec<TraceReplay>, CliError> {
@@ -708,16 +661,7 @@ fn trace_dir_replays(dir: &Path) -> Result<Vec<TraceReplay>, CliError> {
     if paths.is_empty() {
         return Err(CliError(format!("no .pct traces in '{}'", dir.display())));
     }
-    paths
-        .iter()
-        .map(|p| {
-            // Full scan before the campaign starts: a corrupt trace fails
-            // here with a named file, not as a panic on some worker thread.
-            pagecross_trace::verify_file(p)
-                .and_then(|_| TraceReplay::open(p))
-                .map_err(|e| CliError(format!("cannot open trace '{}': {e}", p.display())))
-        })
-        .collect()
+    paths.iter().map(|p| open_trace(p)).collect()
 }
 
 fn find_workload(name: &str) -> Result<&'static Workload, CliError> {
@@ -746,34 +690,34 @@ fn compare_row(cells: &[WorkloadResult]) -> String {
     )
 }
 
-/// Runs the three core policies for `workloads` on the worker pool and
-/// prints one compare row per workload. `jobs == 0` resolves via
-/// [`env_jobs`].
+/// Runs the three core policies for `workloads` on `jobs` pool workers
+/// and prints one compare row per workload.
 fn run_compare_grid<S: Subject + ?Sized>(
     workloads: &[&S],
     pf: PrefetcherKind,
     jobs: usize,
+    cfg: &CampaignConfig,
 ) -> CampaignRun {
-    let jobs = if jobs == 0 { env_jobs() } else { jobs };
-    let run = run_grid(
-        workloads,
-        &core_schemes(pf),
-        &CampaignConfig::default(),
-        jobs,
-    );
+    let run = run_grid(workloads, &core_schemes(pf), cfg, jobs);
     for cells in run.results.chunks(3) {
         println!("{}", compare_row(cells));
     }
     run
 }
 
-/// Executes a parsed command, printing to stdout. Returns an exit code.
+/// Executes a parsed command, printing to stdout. Returns an exit code: 0
+/// on success, 1 for a telemetry file that fails validation, 2 for any
+/// other error (reported on stderr).
 pub fn execute(cmd: Command) -> i32 {
+    try_execute(cmd).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        2
+    })
+}
+
+fn try_execute(cmd: Command) -> Result<i32, CliError> {
     match cmd {
-        Command::Help => {
-            print!("{USAGE}");
-            0
-        }
+        Command::Help => print!("{USAGE}"),
         Command::List { suite: filter } => {
             for id in SuiteId::ALL {
                 if filter.is_some_and(|f| f != id) {
@@ -793,97 +737,49 @@ pub fn execute(cmd: Command) -> i32 {
                     );
                 }
             }
-            0
         }
         Command::Run(a) => {
-            let w = match find_workload(&a.workload) {
-                Ok(w) => w,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return 2;
+            let replay;
+            let subject: &dyn Subject = match &a.source {
+                Source::Workload(name) => find_workload(name)?,
+                Source::Trace(path) => {
+                    replay = open_trace(Path::new(path))?;
+                    &replay
                 }
             };
-            let (dw, di) = w.default_lengths();
-            let builder = SimulationBuilder::new()
-                .prefetcher(a.prefetcher)
-                .pgc_policy(a.policy)
-                .l2_prefetcher(a.l2)
-                .huge_pages(if a.huge_fraction > 0.0 {
-                    HugePagePolicy::Fraction(a.huge_fraction)
-                } else {
-                    HugePagePolicy::None
-                })
-                .warmup(if a.warmup > 0 { a.warmup } else { dw })
-                .instructions(if a.instructions > 0 {
-                    a.instructions
-                } else {
-                    di
-                });
-            let builder = match a.os.to_config() {
-                Some(cfg) => builder.os(cfg),
-                None => builder,
-            };
-            match simulate_with_telemetry(
-                &builder,
-                w,
-                a.telemetry_out.as_deref(),
-                a.telemetry_interval,
-                a.telemetry_trace.as_deref(),
-            ) {
-                Ok((r, lines)) => {
-                    print_report(&r);
-                    for line in &lines {
-                        println!("{line}");
-                    }
-                    0
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    2
-                }
+            let (r, lines) = simulate_with_telemetry(&a, subject)?;
+            print_report(&r);
+            for line in &lines {
+                println!("{line}");
             }
         }
-        Command::Compare {
-            workload,
-            prefetcher,
-        } => match find_workload(&workload) {
-            Ok(w) => {
-                // The three schemes run concurrently on the pool.
-                run_compare_grid(&[w], prefetcher, 0);
-                0
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                2
-            }
-        },
         Command::Campaign {
-            suite: filter,
+            grid,
             prefetcher,
             jobs,
-            per_suite,
-            trace_dir,
         } => {
-            let run = if let Some(dir) = trace_dir {
-                let replays = match trace_dir_replays(Path::new(&dir)) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return 2;
-                    }
-                };
-                let refs: Vec<&TraceReplay> = replays.iter().collect();
-                run_compare_grid(&refs, prefetcher, jobs)
-            } else {
-                let ws: Vec<&Workload> = match filter {
-                    Some(id) => seen_workloads()
-                        .into_iter()
-                        .filter(|w| w.suite() == id)
-                        .take(per_suite.unwrap_or(usize::MAX))
-                        .collect(),
-                    None => pagecross_workloads::representative_seen(per_suite.unwrap_or(4)),
-                };
-                run_compare_grid(&ws, prefetcher, jobs)
+            let cfg = env_scale();
+            let jobs = if jobs == 0 { env_jobs() } else { jobs };
+            let run = match grid {
+                Grid::Registry { suite, per_suite } => {
+                    let ws: Vec<&Workload> = match suite {
+                        Some(id) => seen_workloads()
+                            .into_iter()
+                            .filter(|w| w.suite() == id)
+                            .take(per_suite.unwrap_or(usize::MAX))
+                            .collect(),
+                        None => representative_seen(per_suite.unwrap_or(4)),
+                    };
+                    run_compare_grid(&ws, prefetcher, jobs, &cfg)
+                }
+                Grid::Workload(name) => {
+                    run_compare_grid(&[find_workload(&name)?], prefetcher, jobs, &cfg)
+                }
+                Grid::TraceDir(dir) => {
+                    let replays = trace_dir_replays(Path::new(&dir))?;
+                    let refs: Vec<&TraceReplay> = replays.iter().collect();
+                    run_compare_grid(&refs, prefetcher, jobs, &cfg)
+                }
             };
             println!();
             for t in &run.timings {
@@ -904,7 +800,6 @@ pub fn execute(cmd: Command) -> i32 {
                 ph.total()
             );
             println!("{}", run.timing_line());
-            0
         }
         Command::Record {
             workload,
@@ -912,114 +807,38 @@ pub fn execute(cmd: Command) -> i32 {
             warmup,
             instructions,
         } => {
-            let w = match find_workload(&workload) {
-                Ok(w) => w,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return 2;
-                }
-            };
+            let w = find_workload(&workload)?;
             let (dw, di) = w.default_lengths();
-            let warm = if warmup > 0 { warmup } else { dw };
-            let meas = if instructions > 0 { instructions } else { di };
+            let len = or_default(warmup, dw) + or_default(instructions, di);
             let path = PathBuf::from(out.unwrap_or_else(|| format!("{workload}.pct")));
-            match pagecross_trace::record(w, warm + meas, w.params().seed, &path) {
-                Ok(meta) => {
-                    let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-                    println!(
-                        "recorded {} instructions of {} to {} ({} bytes, {:.2} bytes/instr)",
-                        meta.instr_count,
-                        meta.name,
-                        path.display(),
-                        bytes,
-                        bytes as f64 / meta.instr_count.max(1) as f64
-                    );
-                    0
-                }
-                Err(e) => {
-                    eprintln!("error: recording to '{}': {e}", path.display());
-                    2
-                }
-            }
-        }
-        Command::Replay(a) => {
-            // Full scan up front (every chunk CRC + end marker) so a trace
-            // corrupted past the header is a clean CLI error, not a panic
-            // halfway through the simulation.
-            if let Err(e) = pagecross_trace::verify_file(Path::new(&a.trace)) {
-                eprintln!("error: cannot open trace '{}': {e}", a.trace);
-                return 2;
-            }
-            let replay = match TraceReplay::open(Path::new(&a.trace)) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("error: cannot open trace '{}': {e}", a.trace);
-                    return 2;
-                }
-            };
-            let (dw, di) = replay.lengths();
-            let builder = SimulationBuilder::new()
-                .prefetcher(a.prefetcher)
-                .pgc_policy(a.policy)
-                .l2_prefetcher(a.l2)
-                .huge_pages(if a.huge_fraction > 0.0 {
-                    HugePagePolicy::Fraction(a.huge_fraction)
-                } else {
-                    HugePagePolicy::None
-                })
-                .warmup(if a.warmup > 0 { a.warmup } else { dw })
-                .instructions(if a.instructions > 0 {
-                    a.instructions
-                } else {
-                    di
-                });
-            let builder = match a.os.to_config() {
-                Some(cfg) => builder.os(cfg),
-                None => builder,
-            };
-            match simulate_with_telemetry(
-                &builder,
-                &replay,
-                a.telemetry_out.as_deref(),
-                a.telemetry_interval,
-                a.telemetry_trace.as_deref(),
-            ) {
-                Ok((r, lines)) => {
-                    print_report(&r);
-                    for line in &lines {
-                        println!("{line}");
-                    }
-                    0
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    2
-                }
-            }
+            let meta = pagecross_trace::record(w, len, w.params().seed, &path)
+                .map_err(|e| CliError(format!("recording to '{}': {e}", path.display())))?;
+            let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+            println!(
+                "recorded {} instructions of {} to {} ({} bytes, {:.2} bytes/instr)",
+                meta.instr_count,
+                meta.name,
+                path.display(),
+                bytes,
+                bytes as f64 / meta.instr_count.max(1) as f64
+            );
         }
         Command::CheckTelemetry { jsonl } => {
-            let text = match std::fs::read_to_string(&jsonl) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: cannot read '{jsonl}': {e}");
-                    return 2;
-                }
-            };
+            let text = std::fs::read_to_string(&jsonl)
+                .map_err(|e| CliError(format!("cannot read '{jsonl}': {e}")))?;
             match validate_jsonl(&text) {
-                Ok(s) => {
-                    println!(
-                        "ok: {} intervals, {} instructions, {} cycles",
-                        s.lines, s.final_instructions, s.final_cycles
-                    );
-                    0
-                }
+                Ok(s) => println!(
+                    "ok: {} intervals, {} instructions, {} cycles",
+                    s.lines, s.final_instructions, s.final_cycles
+                ),
                 Err(e) => {
                     eprintln!("error: invalid telemetry '{jsonl}': {e}");
-                    1
+                    return Ok(1);
                 }
             }
         }
     }
+    Ok(0)
 }
 
 #[cfg(test)]
@@ -1057,13 +876,14 @@ mod tests {
         let Command::Run(a) = cmd else {
             panic!("expected run")
         };
-        assert_eq!(a.workload, "gap.s00");
+        assert_eq!(a.source, Source::Workload("gap.s00".to_string()));
         assert_eq!(a.prefetcher, PrefetcherKind::Bop);
         assert_eq!(a.policy, PgcPolicyKind::PermitPgc);
         assert_eq!(a.l2, L2PrefetcherKind::Spp);
         assert!((a.huge_fraction - 0.5).abs() < 1e-12);
         assert_eq!(a.warmup, 1_000);
         assert_eq!(a.instructions, 2_000);
+        assert!(parse(&argv("run --workload gap.s00 --huge 1.5")).is_err());
     }
 
     #[test]
@@ -1081,6 +901,73 @@ mod tests {
     fn unknown_subcommand_rejected() {
         let e = parse(&argv("frobnicate")).unwrap_err();
         assert!(e.0.contains("unknown subcommand"));
+        for gone in ["replay --trace t.pct", "compare --workload gap.s00"] {
+            assert!(parse(&argv(gone)).is_err(), "{gone}");
+        }
+    }
+
+    #[test]
+    fn misspelt_flag_is_an_error() {
+        let e = parse(&argv("run --workload gap.s00 --polcy permit")).unwrap_err();
+        assert_eq!(e.0, "run does not take --polcy");
+    }
+
+    #[test]
+    fn flag_of_another_subcommand_is_an_error() {
+        let e = parse(&argv("list --jobs 4")).unwrap_err();
+        assert_eq!(e.0, "list does not take --jobs");
+        assert!(parse(&argv("record --workload gap.s00 --policy permit")).is_err());
+    }
+
+    #[test]
+    fn repeated_flag_is_an_error() {
+        let e = parse(&argv(
+            "run --workload gap.s00 --policy permit --policy discard",
+        ))
+        .unwrap_err();
+        assert_eq!(e.0, "--policy given more than once");
+    }
+
+    #[test]
+    fn run_takes_one_source() {
+        let e = parse(&argv("run --workload w --trace t")).unwrap_err();
+        assert_eq!(e.0, "--workload and --trace cannot be combined");
+    }
+
+    #[test]
+    fn campaign_workload_excludes_suite_selection() {
+        let e = parse(&argv("campaign --workload w --suite gap")).unwrap_err();
+        assert_eq!(e.0, "--workload and --suite cannot be combined");
+        let e = parse(&argv("campaign --workload w --per-suite 2")).unwrap_err();
+        assert_eq!(e.0, "--workload and --per-suite cannot be combined");
+        assert!(parse(&argv("campaign --trace-dir d --suite gap")).is_err());
+        assert!(parse(&argv("campaign --trace-dir d --workload w")).is_err());
+    }
+
+    #[test]
+    fn every_table_flag_is_in_usage_under_its_subcommand() {
+        for (cmd, flags) in SUBCOMMANDS {
+            // Every usage entry of `cmd`, each up to the next entry or the
+            // blank line that ends the list.
+            let entries: String = USAGE
+                .match_indices(&format!("  pagecross {cmd} "))
+                .map(|(start, _)| {
+                    let entry = &USAGE[start + 2..];
+                    let end = [entry.find("\n  pagecross "), entry.find("\n\n")]
+                        .into_iter()
+                        .flatten()
+                        .min()
+                        .expect("the usage list ends with a blank line");
+                    &entry[..end]
+                })
+                .collect();
+            for flag in *flags {
+                assert!(
+                    entries.contains(&format!("--{flag} ")),
+                    "--{flag} missing from the USAGE of {cmd}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1100,37 +987,61 @@ mod tests {
             ))
             .unwrap(),
             Command::Campaign {
-                suite: Some(SuiteId::Gap),
+                grid: Grid::Registry {
+                    suite: Some(SuiteId::Gap),
+                    per_suite: Some(2),
+                },
                 prefetcher: PrefetcherKind::Bop,
                 jobs: 4,
-                per_suite: Some(2),
-                trace_dir: None,
             }
         );
         // Defaults: jobs 0 (auto), representative cross-suite set of 4.
         assert_eq!(
             parse(&argv("campaign")).unwrap(),
             Command::Campaign {
-                suite: None,
+                grid: Grid::Registry {
+                    suite: None,
+                    per_suite: None,
+                },
                 prefetcher: PrefetcherKind::Berti,
                 jobs: 0,
-                per_suite: None,
-                trace_dir: None,
             }
         );
         assert_eq!(
             parse(&argv("campaign --trace-dir traces --jobs 2")).unwrap(),
             Command::Campaign {
-                suite: None,
+                grid: Grid::TraceDir("traces".to_string()),
                 prefetcher: PrefetcherKind::Berti,
                 jobs: 2,
-                per_suite: None,
-                trace_dir: Some("traces".to_string()),
+            }
+        );
+        assert_eq!(
+            parse(&argv("campaign --workload spec06.s03 --prefetcher ipcp")).unwrap(),
+            Command::Campaign {
+                grid: Grid::Workload("spec06.s03".to_string()),
+                prefetcher: PrefetcherKind::Ipcp,
+                jobs: 0,
             }
         );
         assert!(parse(&argv("campaign --jobs 0")).is_err());
         assert!(parse(&argv("campaign --jobs many")).is_err());
         assert!(parse(&argv("campaign --per-suite 0")).is_err());
+    }
+
+    #[test]
+    fn grid_run_measures_the_scaled_length() {
+        let w = find_workload("gap.s00").unwrap();
+        let cfg = CampaignConfig {
+            warmup_scale: 0.05,
+            measure_scale: 0.05,
+            ..Default::default()
+        };
+        let run = run_compare_grid(&[w], PrefetcherKind::Berti, 1, &cfg);
+        let (_, measure) = w.default_lengths();
+        assert_eq!(run.results.len(), 3);
+        for cell in &run.results {
+            assert_eq!(cell.report.core.instructions, measure / 20);
+        }
     }
 
     #[test]
@@ -1153,10 +1064,9 @@ mod tests {
         assert_eq!(b.telemetry_interval, DEFAULT_TELEMETRY_INTERVAL);
         assert_eq!(b.telemetry_trace, None);
 
-        let Command::Replay(c) =
-            parse(&argv("replay --trace g.pct --telemetry-out r.jsonl")).unwrap()
+        let Command::Run(c) = parse(&argv("run --trace g.pct --telemetry-out r.jsonl")).unwrap()
         else {
-            panic!("expected replay")
+            panic!("expected run")
         };
         assert_eq!(c.telemetry_out.as_deref(), Some("r.jsonl"));
 
@@ -1187,10 +1097,9 @@ mod tests {
         assert_eq!(b.os, OsArgs::default());
         assert_eq!(b.os.to_config(), None, "off by default");
 
-        let Command::Replay(c) =
-            parse(&argv("replay --trace g.pct --os on --phys-mem 2G")).unwrap()
+        let Command::Run(c) = parse(&argv("run --trace g.pct --os on --phys-mem 2G")).unwrap()
         else {
-            panic!("expected replay")
+            panic!("expected run")
         };
         assert!(c.os.enabled);
         assert_eq!(c.os.phys_mem_bytes, 2 << 30);
@@ -1237,7 +1146,7 @@ mod tests {
         let jsonl = dir.join("out.jsonl");
         let trace = dir.join("trace.json");
         let code = execute(Command::Run(RunArgs {
-            workload: "gap.s00".to_string(),
+            source: Source::Workload("gap.s00".to_string()),
             warmup: 1_000,
             instructions: 5_000,
             telemetry_out: Some(jsonl.to_string_lossy().into_owned()),
@@ -1304,17 +1213,16 @@ mod tests {
             "record requires --workload"
         );
 
-        let Command::Replay(a) = parse(&argv(
-            "replay --trace /tmp/g.pct --prefetcher ipcp --policy permit",
+        let Command::Run(a) = parse(&argv(
+            "run --trace /tmp/g.pct --prefetcher ipcp --policy permit",
         ))
         .unwrap() else {
-            panic!("expected replay")
+            panic!("expected run")
         };
-        assert_eq!(a.trace, "/tmp/g.pct");
+        assert_eq!(a.source, Source::Trace("/tmp/g.pct".to_string()));
         assert_eq!(a.prefetcher, PrefetcherKind::Ipcp);
         assert_eq!(a.policy, PgcPolicyKind::PermitPgc);
         assert_eq!(a.warmup, 0, "defaults derive from the recording length");
-        assert!(parse(&argv("replay")).is_err(), "replay requires --trace");
     }
 
     #[test]
@@ -1329,18 +1237,16 @@ mod tests {
             instructions: 1_500,
         });
         assert_eq!(code, 0);
-        let code = execute(Command::Replay(ReplayArgs {
-            trace: out.to_string_lossy().into_owned(),
+        let code = execute(Command::Run(RunArgs {
+            source: Source::Trace(out.to_string_lossy().into_owned()),
             ..Default::default()
         }));
         assert_eq!(code, 0);
         // A trace-dir campaign over the same directory also runs clean.
         let code = execute(Command::Campaign {
-            suite: None,
+            grid: Grid::TraceDir(dir.to_string_lossy().into_owned()),
             prefetcher: PrefetcherKind::Berti,
             jobs: 2,
-            per_suite: None,
-            trace_dir: Some(dir.to_string_lossy().into_owned()),
         });
         assert_eq!(code, 0);
         std::fs::remove_dir_all(&dir).ok();

@@ -50,13 +50,21 @@ mkdir -p "$TRACE_DIR"
     --out "$TRACE_DIR/qmm_int.s00.pct"
 "$PAGECROSS" run --workload qmm_int.s00 --warmup 5000 --instructions 20000 \
     > "$SCRATCH/direct.txt"
-"$PAGECROSS" replay --trace "$TRACE_DIR/qmm_int.s00.pct" \
+"$PAGECROSS" run --trace "$TRACE_DIR/qmm_int.s00.pct" \
     --warmup 5000 --instructions 20000 > "$SCRATCH/replay.txt"
 if ! diff -u "$SCRATCH/direct.txt" "$SCRATCH/replay.txt"; then
     echo "verify: FAIL — replay output differs from the direct run" >&2
     exit 1
 fi
 "$PAGECROSS" campaign --trace-dir "$TRACE_DIR" --jobs 2 > /dev/null
+
+echo "== verify: a misspelt flag exits 2 =="
+CODE=0
+"$PAGECROSS" run --workload gap.s00 --polcy permit 2> /dev/null || CODE=$?
+if [ "$CODE" -ne 2 ]; then
+    echo "verify: FAIL — 'run --polcy permit' exited $CODE, expected 2" >&2
+    exit 1
+fi
 
 echo "== verify: telemetry smoke (JSONL + chrome trace) =="
 # Telemetry must validate against its own checker and must not change the
