@@ -206,9 +206,6 @@ impl PgcPolicy for FilterPolicy {
         Some(PolicyTelemetry {
             threshold: self.filter.threshold(),
             weight_saturation: self.filter.weight_saturation(),
-            decisions: self.filter.stats.decisions,
-            issued: self.filter.stats.issued,
-            discarded: self.filter.stats.discarded,
         })
     }
 
@@ -293,14 +290,14 @@ mod tests {
         assert_eq!(p.current_threshold(), Some(3));
         let t0 = p.telemetry().expect("filter policy has telemetry");
         assert_eq!(t0.threshold, 3);
-        assert_eq!(t0.decisions, 0);
+        assert_eq!(p.filter().stats.decisions, 0);
         assert_eq!(t0.weight_saturation, 0.0, "untrained weights at zero");
         p.decide(
             &cand(),
             &FeatureContext::default(),
             &SystemSnapshot::default(),
         );
-        assert_eq!(p.telemetry().unwrap().decisions, 1);
+        assert_eq!(p.filter().stats.decisions, 1);
         // Static policies expose nothing.
         assert_eq!(PermitPgc.telemetry(), None);
         assert_eq!(PermitPgc.current_threshold(), None);

@@ -27,7 +27,7 @@ use pagecross_prefetch::{AccessInfo, FnlMma, L1dPrefetcher, L1iPrefetcher, L2Pre
 use pagecross_telemetry::IntervalSampler;
 use pagecross_types::{
     CoreStats, OsStats, PageSize, PhysAddr, PrefetchCandidate, PrefetchStats, StallCause,
-    SystemSnapshot, TelemetryCounters, TraceEvent, VirtAddr, WindowCounters,
+    SystemSnapshot, TelemetryCounters, TraceEvent, VirtAddr,
 };
 use std::collections::{HashSet, VecDeque};
 
@@ -88,7 +88,7 @@ pub struct CoreEngine {
     last_line: i64,
     touched_pages: HashSet<u64>,
 
-    epoch_base: WindowCounters,
+    epoch_base: TelemetryCounters,
     snapshot: SystemSnapshot,
     instrs_since_spot: u64,
     instrs_since_epoch: u64,
@@ -144,7 +144,7 @@ impl CoreEngine {
             delta_hist: [0; 3],
             last_line: 0,
             touched_pages: HashSet::new(),
-            epoch_base: WindowCounters::default(),
+            epoch_base: TelemetryCounters::default(),
             snapshot: SystemSnapshot::default(),
             instrs_since_spot: 0,
             instrs_since_epoch: 0,
@@ -195,13 +195,16 @@ impl CoreEngine {
         self.stats.stalls.warmup_carry = self.issued_this_cycle as u64;
         self.pstats = PrefetchStats::default();
         self.os_stats = OsStats::default();
-        // Rebase windows so the first measured epoch starts clean.
-        self.epoch_base = self.capture(mem);
         // Rebase cycle accounting at the current cycle: measured cycles
         // count from here.
         let start = self.cycle;
         self.cycle_base = start;
         self.last_completion = self.last_completion.max(start);
+        // Rebase windows so the first measured epoch starts clean. This
+        // capture must follow the `cycle_base` rebase: its `cycles` is
+        // `cycle - cycle_base`, so an earlier capture would record the
+        // whole warm-up and every later window would run backwards.
+        self.epoch_base = self.telemetry_counters(mem);
     }
 
     /// Attaches an interval sampler closing an interval every `interval`
@@ -232,6 +235,7 @@ impl CoreEngine {
             llc_accesses: mem.llc.stats.demand_accesses,
             llc_misses: mem.llc.stats.demand_misses,
             dtlb_misses: c.dtlb.stats.misses,
+            stlb_accesses: c.stlb.stats.accesses,
             stlb_misses: c.stlb.stats.misses,
             demand_walks: c.walk_stats.demand_walks,
             prefetch_walks: c.walk_stats.prefetch_walks,
@@ -253,29 +257,8 @@ impl CoreEngine {
         }
     }
 
-    fn capture(&self, mem: &MemorySystem) -> WindowCounters {
-        let c = mem.core(self.core_id);
-        WindowCounters {
-            instructions: self.stats.instructions,
-            cycles: self.cycle,
-            l1d_acc: c.l1d.stats.demand_accesses,
-            l1d_miss: c.l1d.stats.demand_misses,
-            l1i_miss: c.l1i.stats.demand_misses,
-            llc_acc: mem.llc.stats.demand_accesses,
-            llc_miss: mem.llc.stats.demand_misses,
-            stlb_acc: c.stlb.stats.accesses,
-            stlb_miss: c.stlb.stats.misses,
-            pgc_useful: c.l1d.stats.pgc_useful,
-            pgc_useless: c.l1d.stats.pgc_useless,
-            os_faults: self.os_stats.faults(),
-            os_reclaims: self.os_stats.reclaims,
-            os_promotions: self.os_stats.thp_promotions,
-            os_shootdowns: self.os_stats.shootdowns,
-        }
-    }
-
     fn refresh_snapshot(&mut self, mem: &mut MemorySystem) {
-        let now = self.capture(mem);
+        let now = self.telemetry_counters(mem);
         self.snapshot = SystemSnapshot::from_window(
             &now,
             &self.epoch_base,
@@ -612,7 +595,7 @@ impl CoreEngine {
             self.refresh_snapshot(mem);
             let snap = self.snapshot;
             self.policy.end_epoch(&snap);
-            self.epoch_base = self.capture(mem);
+            self.epoch_base = self.telemetry_counters(mem);
         }
 
         // Interval sampling (pure observation; absent unless telemetry is

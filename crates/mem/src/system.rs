@@ -232,11 +232,6 @@ impl MemorySystem {
         self.cores.len()
     }
 
-    /// Current L1D MSHR occupancy for a core (snapshot input).
-    pub fn l1d_mshr_occupancy(&mut self, core: usize, cycle: u64) -> u32 {
-        self.cores[core].mshr_l1d.occupancy(cycle)
-    }
-
     /// Demand-only L1D MSHR occupancy (adaptive-thresholding input).
     pub fn l1d_demand_mshr_occupancy(&mut self, core: usize, cycle: u64) -> u32 {
         self.cores[core].mshr_l1d.demand_occupancy(cycle)

@@ -127,15 +127,6 @@ impl Os {
         self.pagers[core].stats
     }
 
-    /// Sum over all cores.
-    pub fn total_stats(&self) -> OsStats {
-        let mut t = OsStats::default();
-        for p in &self.pagers {
-            t.accumulate(&p.stats);
-        }
-        t
-    }
-
     /// Zeroes the counters (warmup/measure boundary). Residency state
     /// is deliberately kept — the page cache survives the boundary.
     pub fn reset_stats(&mut self) {
@@ -732,16 +723,5 @@ mod tests {
         assert_eq!(os.stats(0), OsStats::default());
         assert!(os.is_resident(0, va));
         assert_eq!(os.before_access(&mut mem, 0, va, 1).unwrap(), 0);
-    }
-
-    #[test]
-    fn total_stats_accumulates_cores() {
-        let mut mem = sys(2);
-        let mut os = os(0.0, 2);
-        os.before_access(&mut mem, 0, VirtAddr::new(0x1000), 0)
-            .unwrap();
-        os.before_access(&mut mem, 1, VirtAddr::new(0x2000), 0)
-            .unwrap();
-        assert_eq!(os.total_stats().minor_faults, 2);
     }
 }

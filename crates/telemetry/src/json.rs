@@ -11,12 +11,16 @@
 //! |---------------------|---------------|------------------------------------|
 //! | `seq`               | int           | interval index, dense from 0       |
 //! | `instructions`      | int           | cumulative retired at interval end |
+//! |                     |               | (= running sum of `d_instructions`)|
 //! | `cycles`            | int           | cumulative cycles at interval end  |
+//! |                     |               | (= running sum of `d_cycles`)      |
 //! | `ipc`               | float         | interval IPC (deltas)              |
 //! | `threshold`         | int \| null   | policy threshold (filter policies) |
 //! | `weight_saturation` | float \| null | saturated perceptron weight frac.  |
 //! | `d_<counter>`       | int           | interval delta, one per counter in |
 //! |                     |               | `TelemetryCounters::FIELD_NAMES`   |
+//! |                     |               | (28, from `d_instructions` to      |
+//! |                     |               | `d_os_shootdowns`)                 |
 
 use pagecross_types::{IntervalRecord, TelemetryCounters};
 use std::fmt::Write as _;
@@ -262,7 +266,8 @@ fn get_num(kv: &[(String, Scalar)], key: &str) -> Option<f64> {
 /// Checks, per the schema in the module docs:
 /// * every line parses as a flat JSON object;
 /// * `seq` is dense from 0;
-/// * cumulative `instructions`/`cycles` are monotone non-decreasing;
+/// * cumulative `instructions`/`cycles` are monotone non-decreasing and
+///   equal the running sums of `d_instructions`/`d_cycles`;
 /// * every `d_<counter>` key is present exactly once, integral and ≥ 0
 ///   (non-negative deltas);
 /// * `ipc` is present and finite; `threshold`/`weight_saturation` are
@@ -353,6 +358,16 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, JsonlError> {
             }
             assert!(summary.totals.add_named(name, v as u64));
         }
+        for (key, cumulative, summed) in [
+            ("instructions", instructions, summary.totals.instructions),
+            ("cycles", cycles, summary.totals.cycles),
+        ] {
+            if cumulative != summed {
+                return Err(err(format!(
+                    "cumulative {key} {cumulative} != running sum of d_{key} {summed}"
+                )));
+            }
+        }
 
         summary.lines = lineno;
         summary.final_instructions = instructions;
@@ -405,9 +420,6 @@ mod tests {
         r.policy = Some(PolicyTelemetry {
             threshold: -4,
             weight_saturation: 0.125,
-            decisions: 10,
-            issued: 4,
-            discarded: 6,
         });
         let line = interval_to_json(&r);
         assert!(line.contains("\"threshold\":-4"));
@@ -434,12 +446,30 @@ mod tests {
     fn rejects_backwards_cumulative_counters() {
         let mut r0 = record(0, 10, 20);
         r0.end_instructions = 1_000;
+        r0.delta.instructions = 1_000;
         let mut r1 = record(1, 10, 20);
         r1.end_instructions = 500;
         r1.end_cycles = r0.end_cycles + 1;
         let text = format!("{}\n{}", interval_to_json(&r0), interval_to_json(&r1));
         let e = validate_jsonl(&text).unwrap_err();
         assert!(e.message.contains("backwards"), "{}", e.message);
+    }
+
+    #[test]
+    fn rejects_cumulative_counters_that_contradict_deltas() {
+        // Monotone cumulative columns, but line 2 claims 30 instructions
+        // where its deltas sum to 20.
+        let r0 = record(0, 10, 20);
+        let mut r1 = record(1, 10, 20);
+        r1.end_instructions = 30;
+        let text = format!("{}\n{}", interval_to_json(&r0), interval_to_json(&r1));
+        let e = validate_jsonl(&text).unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(
+            e.message.contains("instructions 30") && e.message.contains("d_instructions 20"),
+            "{}",
+            e.message
+        );
     }
 
     #[test]

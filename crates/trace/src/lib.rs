@@ -24,7 +24,7 @@
 //! * [`BlockingSource`] decodes chunks inline on the simulation thread;
 //! * [`StreamingSource`] decodes on a background `std::thread` into a
 //!   double-buffered channel so decode overlaps simulation (the default for
-//!   [`TraceReplay`]).
+//!   [`TraceReplay`] on machines with two or more hardware threads).
 //!
 //! Both rewind to the first chunk when the file is exhausted, preserving
 //! the infinite-stream `TraceSource` contract (like ChampSim's trace

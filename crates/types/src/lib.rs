@@ -44,7 +44,7 @@ pub use addr::{
 pub use counter::SatCounter;
 pub use request::{AccessKind, Decision, PageSize, PrefetchCandidate, TranslationOutcome};
 pub use rng::Rng64;
-pub use snapshot::{SystemSnapshot, WindowCounters};
+pub use snapshot::SystemSnapshot;
 pub use stats::{geomean, CacheStats, CoreStats, OsStats, PrefetchStats, TlbStats, WalkStats};
 pub use telemetry::{
     IntervalRecord, OsOp, PolicyTelemetry, StallBreakdown, StallCause, TelemetryCounters,

@@ -6,44 +6,7 @@
 //! produces a [`SystemSnapshot`] over a sliding window and hands it to the
 //! filter at decision time and at epoch boundaries.
 
-/// Cumulative counters captured at a window boundary.
-///
-/// The CPU model captures one of these at every epoch boundary and diffs
-/// consecutive captures to produce a windowed [`SystemSnapshot`] — MPKIs
-/// and miss rates over the window, not since the start of the run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WindowCounters {
-    /// Retired instructions.
-    pub instructions: u64,
-    /// Elapsed cycles.
-    pub cycles: u64,
-    /// L1D demand accesses.
-    pub l1d_acc: u64,
-    /// L1D demand misses.
-    pub l1d_miss: u64,
-    /// L1I demand misses.
-    pub l1i_miss: u64,
-    /// LLC demand accesses.
-    pub llc_acc: u64,
-    /// LLC demand misses.
-    pub llc_miss: u64,
-    /// STLB accesses.
-    pub stlb_acc: u64,
-    /// STLB misses.
-    pub stlb_miss: u64,
-    /// Useful page-cross prefetches.
-    pub pgc_useful: u64,
-    /// Useless page-cross prefetches.
-    pub pgc_useless: u64,
-    /// OS page faults (minor + major) serviced for this core.
-    pub os_faults: u64,
-    /// Frames reclaimed by the OS CLOCK sweep for this core's faults.
-    pub os_reclaims: u64,
-    /// 2 MB regions the THP daemon promoted on this core's touches.
-    pub os_promotions: u64,
-    /// TLB shootdown broadcasts triggered by this core.
-    pub os_shootdowns: u64,
-}
+use crate::TelemetryCounters;
 
 /// A windowed summary of the system state, in the units the paper uses.
 ///
@@ -77,14 +40,6 @@ pub struct SystemSnapshot {
     pub pgc_useful: u64,
     /// Useless page-cross prefetches observed this epoch.
     pub pgc_useless: u64,
-    /// OS page faults (minor + major) in the window (0 with the OS off).
-    pub os_faults: u64,
-    /// OS frame reclaims in the window.
-    pub os_reclaims: u64,
-    /// THP promotions in the window.
-    pub os_promotions: u64,
-    /// TLB shootdown broadcasts in the window.
-    pub os_shootdowns: u64,
 }
 
 impl SystemSnapshot {
@@ -94,10 +49,12 @@ impl SystemSnapshot {
     /// at its end; `rob_occupancy` and `inflight_l1d_misses` are
     /// instantaneous values sampled at the window end. A window with zero
     /// retired instructions (or zero elapsed cycles) is clamped to one so
-    /// the MPKI/IPC divisions stay finite.
+    /// the MPKI/IPC divisions stay finite. The differences are plain
+    /// (checked) subtractions: a window that runs backwards is a capture
+    /// bug and panics in debug builds.
     pub fn from_window(
-        now: &WindowCounters,
-        base: &WindowCounters,
+        now: &TelemetryCounters,
+        base: &TelemetryCounters,
         rob_occupancy: f64,
         inflight_l1d_misses: u32,
     ) -> SystemSnapshot {
@@ -111,14 +68,17 @@ impl SystemSnapshot {
                 num as f64 / den as f64
             }
         };
+        let l1d_misses = now.l1d_misses - b.l1d_misses;
+        let llc_misses = now.llc_misses - b.llc_misses;
+        let stlb_misses = now.stlb_misses - b.stlb_misses;
         SystemSnapshot {
-            l1d_mpki: (now.l1d_miss - b.l1d_miss) as f64 / kilo,
-            l1d_miss_rate: rate(now.l1d_miss - b.l1d_miss, now.l1d_acc - b.l1d_acc),
-            llc_mpki: (now.llc_miss - b.llc_miss) as f64 / kilo,
-            llc_miss_rate: rate(now.llc_miss - b.llc_miss, now.llc_acc - b.llc_acc),
-            stlb_mpki: (now.stlb_miss - b.stlb_miss) as f64 / kilo,
-            stlb_miss_rate: rate(now.stlb_miss - b.stlb_miss, now.stlb_acc - b.stlb_acc),
-            l1i_mpki: (now.l1i_miss - b.l1i_miss) as f64 / kilo,
+            l1d_mpki: l1d_misses as f64 / kilo,
+            l1d_miss_rate: rate(l1d_misses, now.l1d_accesses - b.l1d_accesses),
+            llc_mpki: llc_misses as f64 / kilo,
+            llc_miss_rate: rate(llc_misses, now.llc_accesses - b.llc_accesses),
+            stlb_mpki: stlb_misses as f64 / kilo,
+            stlb_miss_rate: rate(stlb_misses, now.stlb_accesses - b.stlb_accesses),
+            l1i_mpki: (now.l1i_misses - b.l1i_misses) as f64 / kilo,
             ipc: rate(
                 now.instructions - b.instructions,
                 (now.cycles - b.cycles).max(1),
@@ -127,10 +87,6 @@ impl SystemSnapshot {
             inflight_l1d_misses,
             pgc_useful: now.pgc_useful - b.pgc_useful,
             pgc_useless: now.pgc_useless - b.pgc_useless,
-            os_faults: now.os_faults - b.os_faults,
-            os_reclaims: now.os_reclaims - b.os_reclaims,
-            os_promotions: now.os_promotions - b.os_promotions,
-            os_shootdowns: now.os_shootdowns - b.os_shootdowns,
         }
     }
 
@@ -182,31 +138,31 @@ mod tests {
     /// cumulative totals.
     #[test]
     fn windowing_is_delta_based_across_consecutive_windows() {
-        let w0 = WindowCounters::default();
-        let w1 = WindowCounters {
+        let w0 = TelemetryCounters::default();
+        let w1 = TelemetryCounters {
             instructions: 2_000,
             cycles: 4_000,
-            l1d_acc: 800,
-            l1d_miss: 200,
-            l1i_miss: 10,
-            llc_acc: 150,
-            llc_miss: 30,
-            stlb_acc: 100,
-            stlb_miss: 25,
+            l1d_accesses: 800,
+            l1d_misses: 200,
+            l1i_misses: 10,
+            llc_accesses: 150,
+            llc_misses: 30,
+            stlb_accesses: 100,
+            stlb_misses: 25,
             pgc_useful: 8,
             pgc_useless: 2,
             ..Default::default()
         };
-        let w2 = WindowCounters {
+        let w2 = TelemetryCounters {
             instructions: 4_000,
             cycles: 5_000,
-            l1d_acc: 1_000,
-            l1d_miss: 210,
-            l1i_miss: 10,
-            llc_acc: 170,
-            llc_miss: 34,
-            stlb_acc: 140,
-            stlb_miss: 27,
+            l1d_accesses: 1_000,
+            l1d_misses: 210,
+            l1i_misses: 10,
+            llc_accesses: 170,
+            llc_misses: 34,
+            stlb_accesses: 140,
+            stlb_misses: 27,
             pgc_useful: 20,
             pgc_useless: 5,
             ..Default::default()
@@ -246,20 +202,20 @@ mod tests {
     /// IPC to 0.
     #[test]
     fn zero_retired_window_is_finite() {
-        let base = WindowCounters {
+        let base = TelemetryCounters {
             instructions: 1_000,
             cycles: 2_000,
-            l1d_acc: 500,
-            l1d_miss: 100,
+            l1d_accesses: 500,
+            l1d_misses: 100,
             ..Default::default()
         };
         // Same instruction count, but misses still accrued (e.g. stalled
         // on outstanding requests across the boundary).
-        let now = WindowCounters {
+        let now = TelemetryCounters {
             instructions: 1_000,
             cycles: 2_000,
-            l1d_acc: 504,
-            l1d_miss: 103,
+            l1d_accesses: 504,
+            l1d_misses: 103,
             ..Default::default()
         };
         let s = SystemSnapshot::from_window(&now, &base, 1.0, 7);

@@ -147,18 +147,6 @@ impl OsStats {
     pub fn faults(&self) -> u64 {
         self.minor_faults + self.major_faults
     }
-
-    /// Accumulates another core's counters (mix-level totals).
-    pub fn accumulate(&mut self, other: &OsStats) {
-        self.minor_faults += other.minor_faults;
-        self.major_faults += other.major_faults;
-        self.reclaims += other.reclaims;
-        self.thp_promotions += other.thp_promotions;
-        self.thp_demotions += other.thp_demotions;
-        self.shootdowns += other.shootdowns;
-        self.ipis_received += other.ipis_received;
-        self.fault_cycles += other.fault_cycles;
-    }
 }
 
 /// Core-level counters.

@@ -166,6 +166,7 @@ macro_rules! for_each_telemetry_counter {
             llc_accesses,
             llc_misses,
             dtlb_misses,
+            stlb_accesses,
             stlb_misses,
             demand_walks,
             prefetch_walks,
@@ -255,12 +256,6 @@ pub struct PolicyTelemetry {
     pub threshold: i32,
     /// Fraction of perceptron weights at either saturation bound.
     pub weight_saturation: f64,
-    /// Cumulative filter decisions.
-    pub decisions: u64,
-    /// Cumulative issues.
-    pub issued: u64,
-    /// Cumulative discards.
-    pub discarded: u64,
 }
 
 /// One closed sampling interval.

@@ -113,4 +113,20 @@ if grep -q '^os ' "$SCRATCH/no-os.txt"; then
     exit 1
 fi
 
+echo "== verify: perfbench builds and its telemetry smoke passes =="
+# Nothing else builds perfbench/ (a package of its own), so a library API
+# change could break the benchmark unnoticed. A 3 s run of the workload
+# that replays a trace and reconciles its telemetry JSONL must pass every
+# check the benchmark makes; its last stdout line is the verdict object.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+VERDICT=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload qmm_replay_permit --seed 1 --seconds 3 --trace 0 | tail -n 1)
+case "$VERDICT" in
+    *'"correct": true,'*'"failed": 0,'*) ;;
+    *)
+        echo "verify: FAIL — perfbench smoke verdict: $VERDICT" >&2
+        exit 1
+        ;;
+esac
+
 echo "== verify: OK =="

@@ -107,6 +107,7 @@ fn jsonl_deltas_reconcile_with_final_report() {
         assert_eq!(t.llc_accesses, r.llc.demand_accesses, "{tag}: llc acc");
         assert_eq!(t.llc_misses, r.llc.demand_misses, "{tag}: llc miss");
         assert_eq!(t.dtlb_misses, r.dtlb.misses, "{tag}: dtlb");
+        assert_eq!(t.stlb_accesses, r.stlb.accesses, "{tag}: stlb acc");
         assert_eq!(t.stlb_misses, r.stlb.misses, "{tag}: stlb");
         assert_eq!(t.demand_walks, r.walks.demand_walks, "{tag}: walks");
         assert_eq!(t.prefetch_walks, r.walks.prefetch_walks, "{tag}: pf walks");
