@@ -275,7 +275,7 @@ mod tests {
         let b = ProgramFeature::bouquet();
         assert_eq!(b.len(), 55, "the paper's bouquet size");
         // All distinct.
-        let set: std::collections::HashSet<_> = b.iter().collect();
+        let set: pagecross_types::FastSet<_> = b.iter().collect();
         assert_eq!(set.len(), 55);
     }
 
@@ -403,7 +403,7 @@ mod tests {
     #[test]
     fn labels_nonempty_and_unique_enough() {
         let b = ProgramFeature::bouquet();
-        let labels: std::collections::HashSet<String> = b.iter().map(|f| f.label()).collect();
+        let labels: pagecross_types::FastSet<String> = b.iter().map(|f| f.label()).collect();
         assert_eq!(labels.len(), b.len());
     }
 }

@@ -34,10 +34,9 @@ impl FillKind {
     }
 }
 
+/// Per-way metadata. The way's tag lives apart, in [`Cache::tags`].
 #[derive(Clone, Copy, Debug)]
 struct Block {
-    tag: u64,
-    valid: bool,
     dirty: bool,
     /// Fetched by a prefetch (any kind).
     prefetched: bool,
@@ -51,15 +50,27 @@ struct Block {
 
 impl Block {
     const INVALID: Block = Block {
-        tag: 0,
-        valid: false,
         dirty: false,
         prefetched: false,
         pcb: false,
         hits: 0,
         lru: 0,
     };
+
+    fn eviction(&self, tag: u64) -> Eviction {
+        Eviction {
+            line: LineAddr(tag),
+            dirty: self.dirty,
+            prefetched: self.prefetched,
+            pcb: self.pcb,
+            hits: self.hits,
+        }
+    }
 }
+
+/// Tag of an invalid way. Line addresses are byte addresses shifted right
+/// by [`pagecross_types::LINE_SHIFT`], so no line has this tag.
+const NO_TAG: u64 = u64::MAX;
 
 /// Description of a block evicted by a fill, delivered to the caller so
 /// filter training (pUB negative training on useless PCB evictions) and
@@ -91,11 +102,15 @@ pub struct Lookup {
 }
 
 /// A set-associative, write-back, write-allocate cache with LRU replacement.
+///
+/// Tags are packed in their own array, `NO_TAG` marking an invalid way,
+/// so a lookup scans 8 bytes per way instead of the whole block.
 #[derive(Clone, Debug)]
 pub struct Cache {
     name: &'static str,
     sets: u64,
     ways: usize,
+    tags: Vec<u64>,
     blocks: Vec<Block>,
     tick: u64,
     /// Aggregate statistics (demand/prefetch split).
@@ -118,6 +133,7 @@ impl Cache {
             name,
             sets,
             ways: cfg.ways as usize,
+            tags: vec![NO_TAG; (sets * cfg.ways as u64) as usize],
             blocks: vec![Block::INVALID; (sets * cfg.ways as u64) as usize],
             tick: 0,
             stats: CacheStats::default(),
@@ -146,17 +162,20 @@ impl Cache {
         base..base + self.ways
     }
 
+    /// Index of the way holding `line`, if resident.
     #[inline]
-    fn tag(line: LineAddr) -> u64 {
-        line.raw()
+    fn find(&self, line: LineAddr) -> Option<usize> {
+        let range = self.set_range(line);
+        let base = range.start;
+        self.tags[range]
+            .iter()
+            .position(|&t| t == line.raw())
+            .map(|w| base + w)
     }
 
     /// Checks presence without updating LRU or statistics.
     pub fn probe(&self, line: LineAddr) -> bool {
-        let tag = Self::tag(line);
-        self.blocks[self.set_range(line)]
-            .iter()
-            .any(|b| b.valid && b.tag == tag)
+        self.find(line).is_some()
     }
 
     /// Performs a demand lookup, updating LRU, hit counters, and statistics.
@@ -165,27 +184,23 @@ impl Cache {
     pub fn demand_access(&mut self, line: LineAddr, is_store: bool) -> Lookup {
         self.tick += 1;
         self.stats.demand_accesses += 1;
-        let tag = Self::tag(line);
-        let tick = self.tick;
-        let range = self.set_range(line);
-        for b in &mut self.blocks[range] {
-            if b.valid && b.tag == tag {
-                b.lru = tick;
-                b.dirty |= is_store;
-                b.hits += 1;
-                let first = b.prefetched && b.hits == 1;
-                if first {
-                    self.stats.prefetch_useful += 1;
-                    if b.pcb {
-                        self.stats.pgc_useful += 1;
-                    }
+        if let Some(i) = self.find(line) {
+            let b = &mut self.blocks[i];
+            b.lru = self.tick;
+            b.dirty |= is_store;
+            b.hits += 1;
+            let first = b.prefetched && b.hits == 1;
+            if first {
+                self.stats.prefetch_useful += 1;
+                if b.pcb {
+                    self.stats.pgc_useful += 1;
                 }
-                return Lookup {
-                    hit: true,
-                    first_hit_on_prefetch: first,
-                    pcb: b.pcb,
-                };
             }
+            return Lookup {
+                hit: true,
+                first_hit_on_prefetch: first,
+                pcb: b.pcb,
+            };
         }
         self.stats.demand_misses += 1;
         Lookup {
@@ -195,12 +210,6 @@ impl Cache {
         }
     }
 
-    /// Touches a line on behalf of a prefetch probe (no demand statistics,
-    /// no LRU update). Returns presence.
-    pub fn prefetch_probe(&self, line: LineAddr) -> bool {
-        self.probe(line)
-    }
-
     /// Performs a prefetch lookup: counted under the prefetch statistics
     /// (never demand), refreshing LRU on a hit so prefetch traffic keeps
     /// resident lines warm. Misses are left for the owner to fill (or not);
@@ -208,17 +217,13 @@ impl Cache {
     /// counter is untouched.
     pub fn prefetch_access(&mut self, line: LineAddr) -> bool {
         self.stats.prefetch_accesses += 1;
-        let tag = Self::tag(line);
-        let range = self.set_range(line);
-        for b in &mut self.blocks[range] {
-            if b.valid && b.tag == tag {
-                self.tick += 1;
-                b.lru = self.tick;
-                self.stats.prefetch_hits += 1;
-                return true;
-            }
-        }
-        false
+        let Some(i) = self.find(line) else {
+            return false;
+        };
+        self.tick += 1;
+        self.blocks[i].lru = self.tick;
+        self.stats.prefetch_hits += 1;
+        true
     }
 
     /// Installs a line, evicting the LRU victim if the set is full.
@@ -233,90 +238,66 @@ impl Cache {
                 self.stats.pgc_fills += 1;
             }
         }
-        let tag = Self::tag(line);
         let tick = self.tick;
         let range = self.set_range(line);
 
         // Already resident: refresh.
-        if let Some(b) = self.blocks[range.clone()]
-            .iter_mut()
-            .find(|b| b.valid && b.tag == tag)
-        {
+        if let Some(i) = self.find(line) {
+            let b = &mut self.blocks[i];
             b.lru = tick;
             b.dirty |= dirty;
             return None;
         }
 
-        // Free way?
-        if let Some(b) = self.blocks[range.clone()].iter_mut().find(|b| !b.valid) {
-            *b = Block {
-                tag,
-                valid: true,
-                dirty,
-                prefetched: kind.is_prefetch(),
-                pcb: matches!(kind, FillKind::PrefetchPageCross),
-                hits: 0,
-                lru: tick,
-            };
-            return None;
-        }
-
-        // Evict LRU.
-        let victim = self.blocks[range]
-            .iter_mut()
-            .min_by_key(|b| b.lru)
-            .expect("set has at least one way");
-        let ev = Eviction {
-            line: LineAddr(victim.tag),
-            dirty: victim.dirty,
-            prefetched: victim.prefetched,
-            pcb: victim.pcb,
-            hits: victim.hits,
+        // A free way, else the LRU victim (the first way with the oldest
+        // timestamp).
+        let (slot, ev) = match self.tags[range.clone()].iter().position(|&t| t == NO_TAG) {
+            Some(w) => (range.start + w, None),
+            None => {
+                let w = self.blocks[range.clone()]
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, b)| b.lru)
+                    .map(|(w, _)| w)
+                    .expect("set has at least one way");
+                let i = range.start + w;
+                (i, Some(self.blocks[i].eviction(self.tags[i])))
+            }
         };
-        if ev.prefetched && ev.hits == 0 {
-            self.stats.prefetch_useless += 1;
-            if ev.pcb {
-                self.stats.pgc_useless += 1;
+        if let Some(ev) = &ev {
+            if ev.prefetched && ev.hits == 0 {
+                self.stats.prefetch_useless += 1;
+                if ev.pcb {
+                    self.stats.pgc_useless += 1;
+                }
+            }
+            if ev.dirty {
+                self.stats.writebacks += 1;
             }
         }
-        if ev.dirty {
-            self.stats.writebacks += 1;
-        }
-        *victim = Block {
-            tag,
-            valid: true,
+        self.tags[slot] = line.raw();
+        self.blocks[slot] = Block {
             dirty,
             prefetched: kind.is_prefetch(),
             pcb: matches!(kind, FillKind::PrefetchPageCross),
             hits: 0,
             lru: tick,
         };
-        Some(ev)
+        ev
     }
 
     /// Invalidates a line if present, returning its eviction record.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<Eviction> {
-        let tag = Self::tag(line);
-        let range = self.set_range(line);
-        for b in &mut self.blocks[range] {
-            if b.valid && b.tag == tag {
-                let ev = Eviction {
-                    line: LineAddr(b.tag),
-                    dirty: b.dirty,
-                    prefetched: b.prefetched,
-                    pcb: b.pcb,
-                    hits: b.hits,
-                };
-                *b = Block::INVALID;
-                return Some(ev);
-            }
-        }
-        None
+        let i = self.find(line)?;
+        let ev = self.blocks[i].eviction(line.raw());
+        self.tags[i] = NO_TAG;
+        self.blocks[i] = Block::INVALID;
+        Some(ev)
     }
 
     /// Number of valid blocks (occupancy), mainly for tests and reports.
     pub fn occupancy(&self) -> usize {
-        self.blocks.iter().filter(|b| b.valid).count()
+        self.tags.iter().filter(|&&t| t != NO_TAG).count()
     }
 }
 

@@ -6,7 +6,9 @@
 //! report in-flight L1D misses (an adaptive-thresholding input, Fig. 8).
 //!
 //! Entries are retired lazily: a lookup at cycle `c` first drops every entry
-//! whose fill completed at or before `c`.
+//! whose fill completed at or before `c`. The file remembers a lower bound
+//! on its earliest completion, so that sweep is skipped while nothing can
+//! have completed yet.
 
 use pagecross_types::LineAddr;
 
@@ -21,6 +23,8 @@ struct Entry {
 #[derive(Clone, Debug)]
 pub struct Mshr {
     entries: Vec<Entry>,
+    /// No entry completes before this cycle (`u64::MAX` when empty).
+    next_expiry: u64,
     capacity: usize,
     /// Misses that merged into an existing entry.
     pub merges: u64,
@@ -38,6 +42,7 @@ impl Mshr {
         assert!(capacity > 0, "MSHR capacity must be positive");
         Self {
             entries: Vec::with_capacity(capacity as usize),
+            next_expiry: u64::MAX,
             capacity: capacity as usize,
             merges: 0,
             full_stalls: 0,
@@ -45,7 +50,16 @@ impl Mshr {
     }
 
     fn expire(&mut self, now: u64) {
+        if now < self.next_expiry {
+            return;
+        }
         self.entries.retain(|e| e.completes_at > now);
+        self.next_expiry = self
+            .entries
+            .iter()
+            .map(|e| e.completes_at)
+            .min()
+            .unwrap_or(u64::MAX);
     }
 
     /// Looks up an in-flight miss for `line`; returns its completion cycle.
@@ -88,6 +102,7 @@ impl Mshr {
         if self.entries.len() >= self.capacity {
             self.full_stalls += 1;
             let delayed = completes_at + Self::FULL_PENALTY;
+            self.next_expiry = self.next_expiry.min(delayed);
             if let Some(slot) = self.entries.iter_mut().min_by_key(|e| e.completes_at) {
                 *slot = Entry {
                     line,
@@ -97,6 +112,7 @@ impl Mshr {
             }
             return delayed;
         }
+        self.next_expiry = self.next_expiry.min(completes_at);
         self.entries.push(Entry {
             line,
             completes_at,

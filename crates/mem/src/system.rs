@@ -526,19 +526,6 @@ impl MemorySystem {
         })
     }
 
-    /// Probes the TLB hierarchy for a prefetch target without side effects
-    /// beyond prefetch-probe statistics. Used by the `Discard PTW` policy
-    /// and by DRIPPER's decision plumbing.
-    pub fn probe_translation(&mut self, core: usize, va: VirtAddr) -> TranslationOutcome {
-        if self.cores[core].dtlb.peek(va) {
-            TranslationOutcome::DtlbHit
-        } else if self.cores[core].stlb.peek(va) {
-            TranslationOutcome::StlbHit
-        } else {
-            TranslationOutcome::RequiresWalk
-        }
-    }
-
     /// Issues an L1D prefetch for virtual address `va` on behalf of `core`.
     ///
     /// The target is translated through the TLB hierarchy (prefetch-probe
@@ -554,39 +541,29 @@ impl MemorySystem {
         cycle: u64,
         allow_walk: bool,
     ) -> Result<PrefetchIssueResult, OomError> {
-        let outcome = self.probe_translation(core, va);
-        let (tr, t_ready, walked) = match outcome {
-            TranslationOutcome::DtlbHit => {
-                let t = self.cores[core].dtlb.prefetch_probe(va).expect("peeked");
-                (t, cycle + self.cfg.dtlb.latency, false)
+        let c = &mut self.cores[core];
+        let (outcome, tr, t_ready, walked) = if let Some(t) = c.dtlb.prefetch_probe(va) {
+            let ready = cycle + self.cfg.dtlb.latency;
+            (TranslationOutcome::DtlbHit, t, ready, false)
+        } else if let Some(t) = c.stlb.prefetch_probe(va) {
+            c.dtlb.fill(t, true);
+            let ready = cycle + self.cfg.dtlb.latency + self.cfg.stlb.latency;
+            (TranslationOutcome::StlbHit, t, ready, false)
+        } else {
+            let outcome = TranslationOutcome::RequiresWalk;
+            if !allow_walk {
+                return Ok(PrefetchIssueResult {
+                    issued: false,
+                    redundant: false,
+                    walked: false,
+                    translation: outcome,
+                    paddr: None,
+                    l1d_eviction: None,
+                });
             }
-            TranslationOutcome::StlbHit => {
-                self.cores[core].dtlb.prefetch_probe(va);
-                let t = self.cores[core].stlb.prefetch_probe(va).expect("peeked");
-                self.cores[core].dtlb.fill(t, true);
-                (
-                    t,
-                    cycle + self.cfg.dtlb.latency + self.cfg.stlb.latency,
-                    false,
-                )
-            }
-            TranslationOutcome::RequiresWalk => {
-                self.cores[core].dtlb.prefetch_probe(va);
-                self.cores[core].stlb.prefetch_probe(va);
-                if !allow_walk {
-                    return Ok(PrefetchIssueResult {
-                        issued: false,
-                        redundant: false,
-                        walked: false,
-                        translation: outcome,
-                        paddr: None,
-                        l1d_eviction: None,
-                    });
-                }
-                let t0 = cycle + self.cfg.dtlb.latency + self.cfg.stlb.latency;
-                let (t, ready) = self.do_walk(core, va, t0, true)?;
-                (t, ready, true)
-            }
+            let t0 = cycle + self.cfg.dtlb.latency + self.cfg.stlb.latency;
+            let (t, ready) = self.do_walk(core, va, t0, true)?;
+            (outcome, t, ready, true)
         };
         let pa = PhysAddr::new(tr.apply(va));
         let line = pa.line();
@@ -846,11 +823,8 @@ mod tests {
         let trig = VirtAddr::new(0x4000_0FC0); // last line of its page
         m.demand_data(0, trig, false, 0).unwrap();
         let tgt = trig.offset(64); // next page, cold TLB
-        assert_eq!(
-            m.probe_translation(0, tgt),
-            TranslationOutcome::RequiresWalk
-        );
         let r = m.issue_prefetch(0, tgt, true, 1_000, true).unwrap();
+        assert_eq!(r.translation, TranslationOutcome::RequiresWalk);
         assert!(r.issued && r.walked);
         assert_eq!(m.core(0).walk_stats.prefetch_walks, 1);
         // The walk filled the TLBs: a demand access to that page now needs no walk.

@@ -17,9 +17,9 @@
 //! [`OomError`] instead of a panic, so callers (the campaign runner, or the
 //! OS reclamation layer in `pagecross-os`) can handle it.
 
-use pagecross_types::{PageSize, Rng64, VirtAddr, HUGE_PAGE_SHIFT_2M, PAGE_SHIFT_4K};
-use std::collections::HashMap;
-use std::collections::HashSet;
+use pagecross_types::{
+    FastMap, FastSet, PageSize, Rng64, VirtAddr, HUGE_PAGE_SHIFT_2M, PAGE_SHIFT_4K,
+};
 use std::fmt;
 
 use crate::tlb::Translation;
@@ -66,8 +66,8 @@ impl std::error::Error for OomError {}
 #[derive(Clone, Debug)]
 struct CoreFrames {
     rng: Rng64,
-    used_4k: HashSet<u64>,
-    used_2m: HashSet<u64>,
+    used_4k: FastSet<u64>,
+    used_2m: FastSet<u64>,
     next_pt: u64,
 }
 
@@ -119,8 +119,8 @@ impl FrameAllocator {
         let per_core = (0..n)
             .map(|i| CoreFrames {
                 rng: Rng64::new(seed ^ 0x5EED_F4A3 ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                used_4k: HashSet::new(),
-                used_2m: HashSet::new(),
+                used_4k: FastSet::default(),
+                used_2m: FastSet::default(),
                 next_pt: pt_region_base + i * slice_pt,
             })
             .collect();
@@ -269,10 +269,10 @@ pub struct Vmem {
     policy: HugePagePolicy,
     core: u32,
     base_seed: u64,
-    map_4k: HashMap<u64, u64>,
-    map_2m: HashMap<u64, u64>,
+    map_4k: FastMap<u64, u64>,
+    map_2m: FastMap<u64, u64>,
     /// Cached promotion decision per 2 MB virtual region.
-    region_is_huge: HashMap<u64, bool>,
+    region_is_huge: FastMap<u64, bool>,
 }
 
 impl Vmem {
@@ -288,9 +288,9 @@ impl Vmem {
             policy,
             core,
             base_seed: seed,
-            map_4k: HashMap::new(),
-            map_2m: HashMap::new(),
-            region_is_huge: HashMap::new(),
+            map_4k: FastMap::default(),
+            map_2m: FastMap::default(),
+            region_is_huge: FastMap::default(),
         }
     }
 
@@ -611,7 +611,7 @@ mod tests {
     #[test]
     fn per_core_slices_are_disjoint() {
         let mut fa = FrameAllocator::with_cores(4u64 << 30, 6, 4);
-        let mut seen = HashSet::new();
+        let mut seen = FastSet::default();
         for core in 0..4 {
             for _ in 0..256 {
                 let pfn = fa.alloc_4k(core).unwrap();

@@ -5,8 +5,7 @@
 //! candidates (a next-line prefetch on the last line of a page crosses).
 
 use crate::{candidate, AccessInfo, L1dPrefetcher};
-use pagecross_types::PrefetchCandidate;
-use std::collections::HashMap;
+use pagecross_types::{FastMap, PrefetchCandidate};
 
 /// Always prefetches the next `degree` lines.
 #[derive(Clone, Debug)]
@@ -50,7 +49,7 @@ struct StrideEntry {
 /// Classic per-PC stride prefetcher with 2-bit confidence.
 #[derive(Clone, Debug)]
 pub struct Stride {
-    table: HashMap<u64, StrideEntry>,
+    table: FastMap<u64, StrideEntry>,
     degree: i64,
     max_entries: usize,
 }
@@ -60,7 +59,7 @@ impl Stride {
     pub fn new(degree: u32) -> Self {
         assert!(degree > 0, "degree must be positive");
         Self {
-            table: HashMap::new(),
+            table: FastMap::default(),
             degree: degree as i64,
             max_entries: 1024,
         }

@@ -14,8 +14,8 @@
 //! at page boundaries — that is the page-cross policy's job.
 
 use crate::{candidate, AccessInfo, L1dPrefetcher};
-use pagecross_types::{PrefetchCandidate, VirtAddr};
-use std::collections::{HashMap, VecDeque};
+use pagecross_types::{FastMap, PrefetchCandidate, VirtAddr};
+use std::collections::VecDeque;
 
 const HISTORY_LEN: usize = 64;
 const PENDING_LEN: usize = 32;
@@ -75,16 +75,29 @@ impl DeltaSet {
         }
     }
 
-    /// Up to two strongest active deltas.
-    fn active(&self) -> impl Iterator<Item = i64> + '_ {
-        let mut best: Vec<(i64, u8)> = self
-            .deltas
-            .iter()
-            .copied()
-            .filter(|(_, c)| *c >= ACTIVE_THRESHOLD)
-            .collect();
-        best.sort_by_key(|(_, c)| std::cmp::Reverse(*c));
-        best.into_iter().take(2).map(|(d, _)| d)
+    /// Up to two strongest active deltas, strongest first; among equal
+    /// confidences the earlier entry wins (the order a stable sort by
+    /// descending confidence would give).
+    fn active(&self) -> impl Iterator<Item = i64> {
+        let mut first: Option<(i64, u8)> = None;
+        let mut second: Option<(i64, u8)> = None;
+        for &(d, c) in &self.deltas {
+            if c < ACTIVE_THRESHOLD {
+                continue;
+            }
+            match first {
+                Some((_, fc)) if c <= fc => {
+                    if second.is_none_or(|(_, sc)| c > sc) {
+                        second = Some((d, c));
+                    }
+                }
+                _ => {
+                    second = first;
+                    first = Some((d, c));
+                }
+            }
+        }
+        first.into_iter().chain(second).map(|(d, _)| d)
     }
 }
 
@@ -93,7 +106,7 @@ impl DeltaSet {
 pub struct Berti {
     history: VecDeque<HistEntry>,
     pending: VecDeque<PendingMiss>,
-    per_pc: HashMap<u64, DeltaSet>,
+    per_pc: FastMap<u64, DeltaSet>,
     max_pcs: usize,
 }
 
@@ -109,7 +122,7 @@ impl Berti {
         Self {
             history: VecDeque::with_capacity(HISTORY_LEN),
             pending: VecDeque::with_capacity(PENDING_LEN),
-            per_pc: HashMap::new(),
+            per_pc: FastMap::default(),
             max_pcs: MAX_PCS_BASE * size_multiplier as usize,
         }
     }
@@ -287,6 +300,32 @@ mod tests {
             "random stream should rarely trigger prefetches, got {}",
             out.len()
         );
+    }
+
+    #[test]
+    fn active_matches_a_stable_sort_by_confidence() {
+        fn sorted(set: &DeltaSet) -> Vec<i64> {
+            let mut best: Vec<(i64, u8)> = set
+                .deltas
+                .iter()
+                .copied()
+                .filter(|(_, c)| *c >= ACTIVE_THRESHOLD)
+                .collect();
+            best.sort_by_key(|(_, c)| std::cmp::Reverse(*c));
+            best.into_iter().take(2).map(|(d, _)| d).collect()
+        }
+        let mut rng = pagecross_types::Rng64::new(11);
+        for _ in 0..5_000 {
+            let n = rng.below(MAX_DELTAS_PER_PC as u64 + 1) as usize;
+            // Confidences from a narrow range so ties are common.
+            let set = DeltaSet {
+                deltas: (0..n)
+                    .map(|i| (i as i64 + 1, 2 + rng.below(5) as u8))
+                    .collect(),
+                updates: 0,
+            };
+            assert_eq!(set.active().collect::<Vec<_>>(), sorted(&set), "{set:?}");
+        }
     }
 
     #[test]

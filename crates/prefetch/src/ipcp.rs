@@ -14,8 +14,7 @@
 //! Classification priority is GS > CS > CPLX, as in the paper.
 
 use crate::{candidate, AccessInfo, L1dPrefetcher};
-use pagecross_types::PrefetchCandidate;
-use std::collections::HashMap;
+use pagecross_types::{FastMap, PrefetchCandidate};
 
 const CS_DEGREE: i64 = 4;
 const GS_DEGREE: i64 = 6;
@@ -73,8 +72,9 @@ impl StreamDetector {
 /// The IPCP prefetcher.
 #[derive(Clone, Debug)]
 pub struct Ipcp {
-    ip_table: HashMap<u64, IpEntry>,
-    cspt: HashMap<u16, CsptEntry>,
+    ip_table: FastMap<u64, IpEntry>,
+    /// Complex Stride Prediction Table, indexed by signature.
+    cspt: Vec<CsptEntry>,
     stream: StreamDetector,
     max_ips: usize,
 }
@@ -89,8 +89,8 @@ impl Ipcp {
     pub fn new(size_multiplier: u32) -> Self {
         assert!(size_multiplier > 0, "size multiplier must be positive");
         Self {
-            ip_table: HashMap::new(),
-            cspt: HashMap::new(),
+            ip_table: FastMap::default(),
+            cspt: vec![CsptEntry::default(); 1 << SIG_BITS],
             stream: StreamDetector::default(),
             max_ips: 128 * size_multiplier as usize,
         }
@@ -133,7 +133,7 @@ impl L1dPrefetcher for Ipcp {
             }
             // CPLX training: the *previous* signature predicted this delta.
             let prev_sig = e.signature;
-            let c = self.cspt.entry(prev_sig).or_default();
+            let c = &mut self.cspt[usize::from(prev_sig)];
             if c.delta == delta {
                 c.conf = (c.conf + 1).min(3);
             } else {
@@ -143,9 +143,6 @@ impl L1dPrefetcher for Ipcp {
                 }
             }
             e.signature = Self::update_signature(prev_sig, delta);
-            if self.cspt.len() > 4096 {
-                self.cspt.clear();
-            }
         }
         // GS training.
         if stream_dir.is_some() {
@@ -179,7 +176,7 @@ impl L1dPrefetcher for Ipcp {
             let mut sig = signature;
             let mut total = 0i64;
             for _ in 0..CPLX_LOOKAHEAD {
-                let Some(c) = self.cspt.get(&sig) else { break };
+                let c = self.cspt[usize::from(sig)];
                 if c.conf < 2 || c.delta == 0 {
                     break;
                 }

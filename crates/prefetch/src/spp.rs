@@ -9,8 +9,7 @@
 //! operate in the physical space and never cross pages).
 
 use crate::L2Prefetcher;
-use pagecross_types::{LINE_SHIFT, PAGE_SHIFT_4K};
-use std::collections::HashMap;
+use pagecross_types::{FastMap, LINE_SHIFT, PAGE_SHIFT_4K};
 
 const SIG_BITS: u32 = 12;
 const LOOKAHEAD_MAX: usize = 8;
@@ -34,16 +33,17 @@ struct Pattern {
 /// The SPP prefetcher (L2C, physical address space).
 #[derive(Clone, Debug)]
 pub struct Spp {
-    pages: HashMap<u64, PageEntry>,
-    patterns: HashMap<u16, [Pattern; 4]>,
+    pages: FastMap<u64, PageEntry>,
+    /// Pattern table, indexed by signature.
+    patterns: Vec<[Pattern; 4]>,
 }
 
 impl Spp {
     /// Creates an SPP instance.
     pub fn new() -> Self {
         Self {
-            pages: HashMap::new(),
-            patterns: HashMap::new(),
+            pages: FastMap::default(),
+            patterns: vec![[Pattern::default(); 4]; 1 << SIG_BITS],
         }
     }
 
@@ -53,7 +53,7 @@ impl Spp {
     }
 
     fn train(&mut self, sig: u16, delta: i64) {
-        let slots = self.patterns.entry(sig).or_default();
+        let slots = &mut self.patterns[usize::from(sig)];
         // Bump matching slot or replace the weakest.
         if let Some(s) = slots.iter_mut().find(|s| s.total > 0 && s.delta == delta) {
             s.hits = s.hits.saturating_add(1);
@@ -75,14 +75,10 @@ impl Spp {
                 s.total = s.total.saturating_add(1);
             }
         }
-        if self.patterns.len() > 8192 {
-            self.patterns.clear();
-        }
     }
 
     fn best(&self, sig: u16) -> Option<(i64, f64)> {
-        let slots = self.patterns.get(&sig)?;
-        slots
+        self.patterns[usize::from(sig)]
             .iter()
             .filter(|s| s.total > 2)
             .map(|s| (s.delta, s.hits as f64 / s.total as f64))

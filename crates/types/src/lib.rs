@@ -11,6 +11,8 @@
 //!   perceptron weights and system-feature weights;
 //! * [`Rng64`], a tiny deterministic PRNG so simulations are reproducible
 //!   bit-for-bit across runs;
+//! * [`FastMap`] and [`FastSet`], hash containers with a fixed, fast
+//!   hasher for the integer keys on every simulation path;
 //! * prefetch request/decision types shared between the prefetcher crate,
 //!   the MOKA filter crate and the CPU model;
 //! * [`SystemSnapshot`], the bundle of runtime statistics (MPKIs, miss
@@ -30,6 +32,7 @@
 
 pub mod addr;
 pub mod counter;
+pub mod hash;
 pub mod prop;
 pub mod request;
 pub mod rng;
@@ -42,6 +45,7 @@ pub use addr::{
     LINE_SIZE, PAGE_SHIFT_4K, PAGE_SIZE_4K,
 };
 pub use counter::SatCounter;
+pub use hash::{FastHasher, FastMap, FastSet};
 pub use request::{AccessKind, Decision, PageSize, PrefetchCandidate, TranslationOutcome};
 pub use rng::Rng64;
 pub use snapshot::SystemSnapshot;

@@ -449,7 +449,7 @@ mod tests {
         let vas = loads(&drain(params, 10_000));
         let increasing = vas.windows(2).filter(|w| w[1] > w[0]).count();
         assert!(increasing as f64 > vas.len() as f64 * 0.95);
-        let pages: std::collections::HashSet<u64> = vas.iter().map(|v| v >> 12).collect();
+        let pages: pagecross_types::FastSet<u64> = vas.iter().map(|v| v >> 12).collect();
         assert!(
             pages.len() > 10,
             "stream must span many pages, got {}",
@@ -587,8 +587,8 @@ mod tests {
                 }
             }
         }
-        let p0: std::collections::HashSet<u64> = phase0_vas.iter().map(|v| v >> 28).collect();
-        let p1: std::collections::HashSet<u64> = phase1_vas.iter().map(|v| v >> 28).collect();
+        let p0: pagecross_types::FastSet<u64> = phase0_vas.iter().map(|v| v >> 28).collect();
+        let p1: pagecross_types::FastSet<u64> = phase1_vas.iter().map(|v| v >> 28).collect();
         assert!(p0.is_disjoint(&p1), "phases use distinct regions");
     }
 
@@ -599,7 +599,7 @@ mod tests {
             components: vec![(Component::Hot { pages: 4 }, 1)],
         }];
         let vas = loads(&drain(p, 10_000));
-        let pages: std::collections::HashSet<u64> = vas.iter().map(|v| v >> 12).collect();
+        let pages: pagecross_types::FastSet<u64> = vas.iter().map(|v| v >> 12).collect();
         assert!(pages.len() <= 4);
     }
 

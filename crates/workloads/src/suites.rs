@@ -670,7 +670,7 @@ mod tests {
             .flat_map(|s| s.workloads.iter())
             .map(|w| w.name.as_str())
             .collect();
-        let set: std::collections::HashSet<&str> = all.iter().copied().collect();
+        let set: pagecross_types::FastSet<&str> = all.iter().copied().collect();
         assert_eq!(all.len(), set.len());
     }
 
@@ -728,7 +728,7 @@ mod tests {
     fn representative_subset_spans_suites() {
         let r = representative_seen(2);
         assert_eq!(r.len(), 16);
-        let suites: std::collections::HashSet<_> = r.iter().map(|w| w.suite()).collect();
+        let suites: pagecross_types::FastSet<_> = r.iter().map(|w| w.suite()).collect();
         assert_eq!(suites.len(), 8);
     }
 

@@ -3,19 +3,43 @@
 //! in-repo harness ([`pagecross::types::prop`]).
 
 use pagecross::mem::{
-    Cache, CacheConfig, FillKind, FrameAllocator, HugePagePolicy, Mshr, PageWalker, PscConfig, Tlb,
-    TlbConfig, Translation, Vmem,
+    Cache, CacheConfig, Eviction, FillKind, FrameAllocator, HugePagePolicy, Lookup, Mshr,
+    PageWalker, PscConfig, Tlb, TlbConfig, Translation, Vmem,
 };
 use pagecross::types::prop::{check, vec_of, Config};
 use pagecross::types::{prop_assert, prop_assert_eq};
-use pagecross::types::{LineAddr, PageSize, VirtAddr};
+use pagecross::types::{FastMap, FastSet, LineAddr, PageSize, VirtAddr};
+use std::cell::Cell;
+
+/// One resident block of the reference cache, with the metadata an
+/// eviction reports.
+#[derive(Clone, Copy)]
+struct RefBlock {
+    line: u64,
+    dirty: bool,
+    prefetched: bool,
+    pcb: bool,
+    hits: u32,
+}
+
+impl RefBlock {
+    fn eviction(self) -> Eviction {
+        Eviction {
+            line: LineAddr(self.line),
+            dirty: self.dirty,
+            prefetched: self.prefetched,
+            pcb: self.pcb,
+            hits: self.hits,
+        }
+    }
+}
 
 /// A naive set-associative LRU cache: explicit per-set recency vectors.
 struct RefCache {
     sets: u64,
     ways: usize,
-    /// Per set: most-recent-last list of resident tags.
-    resident: Vec<Vec<u64>>,
+    /// Per set: most-recent-last list of resident blocks.
+    resident: Vec<Vec<RefBlock>>,
 }
 
 impl RefCache {
@@ -27,49 +51,143 @@ impl RefCache {
         }
     }
 
-    fn set(&mut self, line: u64) -> &mut Vec<u64> {
+    fn set(&mut self, line: u64) -> &mut Vec<RefBlock> {
         &mut self.resident[(line & (self.sets - 1)) as usize]
     }
 
-    fn access(&mut self, line: u64) -> bool {
+    /// Moves `line` to the most-recent end of its set; returns its block.
+    fn touch(&mut self, line: u64) -> Option<&mut RefBlock> {
         let set = self.set(line);
-        if let Some(pos) = set.iter().position(|&t| t == line) {
-            let t = set.remove(pos);
-            set.push(t);
-            true
-        } else {
-            false
+        let pos = set.iter().position(|b| b.line == line)?;
+        let b = set.remove(pos);
+        set.push(b);
+        set.last_mut()
+    }
+
+    fn demand_access(&mut self, line: u64, is_store: bool) -> Lookup {
+        let Some(b) = self.touch(line) else {
+            return Lookup {
+                hit: false,
+                first_hit_on_prefetch: false,
+                pcb: false,
+            };
+        };
+        b.dirty |= is_store;
+        b.hits += 1;
+        Lookup {
+            hit: true,
+            first_hit_on_prefetch: b.prefetched && b.hits == 1,
+            pcb: b.pcb,
         }
     }
 
-    fn fill(&mut self, line: u64) -> Option<u64> {
-        let ways = self.ways;
-        let set = self.set(line);
-        if let Some(pos) = set.iter().position(|&t| t == line) {
-            let t = set.remove(pos);
-            set.push(t);
+    fn prefetch_access(&mut self, line: u64) -> bool {
+        self.touch(line).is_some()
+    }
+
+    fn fill(&mut self, line: u64, kind: FillKind, dirty: bool) -> Option<Eviction> {
+        if let Some(b) = self.touch(line) {
+            b.dirty |= dirty;
             return None;
         }
+        let ways = self.ways;
+        let set = self.set(line);
         let victim = if set.len() == ways {
-            Some(set.remove(0))
+            Some(set.remove(0).eviction())
         } else {
             None
         };
-        set.push(line);
+        set.push(RefBlock {
+            line,
+            dirty,
+            prefetched: kind.is_prefetch(),
+            pcb: kind == FillKind::PrefetchPageCross,
+            hits: 0,
+        });
         victim
+    }
+
+    fn invalidate(&mut self, line: u64) -> Option<Eviction> {
+        let set = self.set(line);
+        let pos = set.iter().position(|b| b.line == line)?;
+        Some(set.remove(pos).eviction())
     }
 }
 
-/// A naive set-associative LRU TLB (4 KB entries only).
+/// A naive set-associative, page-size-aware LRU TLB. Each entry sits in
+/// the set of its own VPN at its own page size; a lookup tries 4 KB, then
+/// 2 MB.
 struct RefTlb {
-    inner: RefCache,
+    sets: u64,
+    ways: usize,
+    /// Per set: most-recent-last list of resident translations.
+    resident: Vec<Vec<Translation>>,
 }
 
 impl RefTlb {
     fn new(sets: u64, ways: usize) -> Self {
         Self {
-            inner: RefCache::new(sets, ways),
+            sets,
+            ways,
+            resident: vec![Vec::new(); sets as usize],
         }
+    }
+
+    fn set(&mut self, vpn: u64) -> &mut Vec<Translation> {
+        &mut self.resident[(vpn & (self.sets - 1)) as usize]
+    }
+
+    /// Looks `va` up, moving a hit to the most-recent end of its set.
+    fn find(&mut self, va: VirtAddr) -> Option<Translation> {
+        for size in [PageSize::Base4K, PageSize::Huge2M] {
+            let vpn = va.raw() >> size.shift();
+            let set = self.set(vpn);
+            if let Some(pos) = set.iter().position(|t| t.size == size && t.vpn == vpn) {
+                let t = set.remove(pos);
+                set.push(t);
+                return Some(t);
+            }
+        }
+        None
+    }
+
+    fn covers(&self, va: VirtAddr) -> bool {
+        self.resident
+            .iter()
+            .flatten()
+            .any(|t| t.vpn == va.raw() >> t.size.shift())
+    }
+
+    fn fill(&mut self, t: Translation) {
+        let ways = self.ways;
+        let set = self.set(t.vpn);
+        if let Some(pos) = set.iter().position(|e| e.size == t.size && e.vpn == t.vpn) {
+            set.remove(pos);
+        } else if set.len() == ways {
+            set.remove(0);
+        }
+        set.push(t);
+    }
+
+    fn invalidate_page(&mut self, vpn: u64, size: PageSize) -> bool {
+        let set = self.set(vpn);
+        let before = set.len();
+        set.retain(|t| !(t.size == size && t.vpn == vpn));
+        set.len() != before
+    }
+
+    fn invalidate_region(&mut self, vpn2m: u64) -> u32 {
+        let mut dropped = 0;
+        for set in &mut self.resident {
+            let before = set.len();
+            set.retain(|t| (t.vpn << t.size.shift()) >> PageSize::Huge2M.shift() != vpn2m);
+            dropped += (before - set.len()) as u32;
+        }
+        dropped
+    }
+
+    fn occupancy(&self) -> usize {
+        self.resident.iter().map(Vec::len).sum()
     }
 }
 
@@ -140,14 +258,20 @@ impl RefMshr {
     }
 }
 
-/// The production cache and the reference model agree on every hit/miss
-/// outcome and every eviction victim, for arbitrary interleavings of
-/// demand accesses and fills.
+/// The production cache and the reference model agree on every demand
+/// lookup (hit, first hit on a prefetch, PCB), every prefetch access,
+/// and every eviction and invalidation record (victim line, dirty,
+/// prefetched, PCB, hits), for arbitrary interleavings of demand loads
+/// and stores, fills of every kind, prefetch accesses and invalidations.
 #[test]
 fn cache_matches_reference_model() {
     check(
         &Config::cases(48),
-        |rng| vec_of(rng, 1, 500, |r| (r.below(96), r.below(2) as u8)),
+        |rng| {
+            vec_of(rng, 1, 500, |r| {
+                (r.below(96), r.below(8) as u8, r.below(6) as u8)
+            })
+        },
         |ops| {
             // 8 sets x 2 ways.
             let mut dut = Cache::new(
@@ -160,66 +284,140 @@ fn cache_matches_reference_model() {
                 },
             );
             let mut model = RefCache::new(8, 2);
-            for &(line, op) in ops {
+            for &(line, op, flavour) in ops {
                 let l = LineAddr(line);
                 match op {
-                    0 => {
-                        let dut_hit = dut.demand_access(l, false).hit;
-                        let model_hit = model.access(line);
-                        prop_assert_eq!(dut_hit, model_hit, "hit/miss mismatch on {}", line);
+                    0..=2 => {
+                        let is_store = op == 2;
+                        let dut_lookup = dut.demand_access(l, is_store);
+                        let model_lookup = model.demand_access(line, is_store);
+                        prop_assert_eq!(dut_lookup, model_lookup, "lookup mismatch on {}", line);
                     }
-                    _ => {
-                        let dut_victim = dut.fill(l, FillKind::Demand, false).map(|e| e.line.raw());
-                        let model_victim = model.fill(line);
+                    3..=5 => {
+                        let kind = [
+                            FillKind::Demand,
+                            FillKind::PrefetchInPage,
+                            FillKind::PrefetchPageCross,
+                        ][usize::from(flavour % 3)];
+                        let dirty = flavour >= 3;
+                        let dut_victim = dut.fill(l, kind, dirty);
+                        let model_victim = model.fill(line, kind, dirty);
                         prop_assert_eq!(dut_victim, model_victim, "victim mismatch on {}", line);
                     }
+                    6 => {
+                        prop_assert_eq!(
+                            dut.prefetch_access(l),
+                            model.prefetch_access(line),
+                            "prefetch access mismatch on {}",
+                            line
+                        );
+                    }
+                    _ => {
+                        prop_assert_eq!(
+                            dut.invalidate(l),
+                            model.invalidate(line),
+                            "invalidate mismatch on {}",
+                            line
+                        );
+                    }
                 }
+                prop_assert_eq!(dut.occupancy(), model.resident.iter().map(Vec::len).sum());
             }
             Ok(())
         },
     );
 }
 
-/// The production TLB agrees with the reference model on lookups and
-/// occupancy for arbitrary fill/lookup interleavings over 4 KB pages.
+/// The production TLB agrees with the reference model on every lookup and
+/// prefetch probe (both refresh LRU), every invalidation, presence and
+/// occupancy, for arbitrary interleavings of 4 KB and 2 MB fills over
+/// overlapping regions, including fills that evict a 2 MB victim and
+/// both kinds of invalidation. Each op list runs on 4 sets of 4 ways,
+/// where the LRU victim is one of four entries, and on 4 sets of 2 ways,
+/// where 2 MB victims are frequent.
 #[test]
 fn tlb_matches_reference_model() {
     check(
         &Config::cases(48),
-        |rng| vec_of(rng, 1, 400, |r| (r.below(64), r.below(2) as u8)),
+        |rng| vec_of(rng, 1, 400, |r| (r.below(8) as u8, r.below(4), r.below(24))),
         |ops| {
-            // 4 sets x 4 ways = 16 entries.
-            let mut dut = Tlb::new(
-                "dut",
-                TlbConfig {
-                    entries: 16,
-                    ways: 4,
-                    latency: 1,
-                },
-            );
-            let mut model = RefTlb::new(4, 4);
-            for &(vpn, op) in ops {
-                let va = VirtAddr::new(vpn << 12);
-                match op {
-                    0 => {
-                        let dut_hit = dut.lookup(va).is_some();
-                        let model_hit = model.inner.access(vpn);
-                        prop_assert_eq!(dut_hit, model_hit, "lookup mismatch on vpn {}", vpn);
+            for (entries, ways) in [(16, 4), (8, 2)] {
+                let mut dut = Tlb::new(
+                    "dut",
+                    TlbConfig {
+                        entries,
+                        ways,
+                        latency: 1,
+                    },
+                );
+                let mut model = RefTlb::new(4, ways as usize);
+                for &(op, region, page) in ops {
+                    let vpn4k = (region << 9) + page;
+                    let va = VirtAddr::new((vpn4k << 12) | 0x40);
+                    match op {
+                        0 | 1 => {
+                            prop_assert_eq!(
+                                dut.lookup(va),
+                                model.find(va),
+                                "{}-way lookup of vpn {}",
+                                ways,
+                                vpn4k
+                            );
+                        }
+                        2 => {
+                            prop_assert_eq!(
+                                dut.prefetch_probe(va),
+                                model.find(va),
+                                "{}-way prefetch probe of vpn {}",
+                                ways,
+                                vpn4k
+                            );
+                        }
+                        3 | 4 => {
+                            let t = if op == 3 {
+                                Translation {
+                                    vpn: vpn4k,
+                                    pfn: vpn4k + 100,
+                                    size: PageSize::Base4K,
+                                }
+                            } else {
+                                Translation {
+                                    vpn: region,
+                                    pfn: region + 7,
+                                    size: PageSize::Huge2M,
+                                }
+                            };
+                            dut.fill(t, false);
+                            model.fill(t);
+                        }
+                        5 => {
+                            prop_assert_eq!(
+                                dut.invalidate_page(vpn4k, PageSize::Base4K),
+                                model.invalidate_page(vpn4k, PageSize::Base4K)
+                            );
+                        }
+                        6 => {
+                            prop_assert_eq!(
+                                dut.invalidate_page(region, PageSize::Huge2M),
+                                model.invalidate_page(region, PageSize::Huge2M)
+                            );
+                        }
+                        _ => {
+                            prop_assert_eq!(
+                                dut.invalidate_region(region),
+                                model.invalidate_region(region)
+                            );
+                        }
                     }
-                    _ => {
-                        dut.fill(
-                            Translation {
-                                vpn,
-                                pfn: vpn + 100,
-                                size: PageSize::Base4K,
-                            },
-                            false,
-                        );
-                        model.inner.fill(vpn);
-                    }
+                    prop_assert_eq!(
+                        dut.peek(va),
+                        model.covers(va),
+                        "{}-way peek of vpn {}",
+                        ways,
+                        vpn4k
+                    );
+                    prop_assert_eq!(dut.occupancy(), model.occupancy(), "{}-way occupancy", ways);
                 }
-                let model_occ: usize = model.inner.resident.iter().map(|s| s.len()).sum();
-                prop_assert_eq!(dut.occupancy(), model_occ, "occupancy mismatch");
             }
             Ok(())
         },
@@ -259,18 +457,26 @@ fn fill_kind_does_not_change_placement() {
 /// The production MSHR agrees with the naive reference on every lookup
 /// result, allocation completion time, merge/stall counter, and both
 /// occupancy views, for arbitrary interleavings of lookups and
-/// demand/prefetch allocations over non-decreasing time.
+/// demand/prefetch allocations. Completion latencies vary, so a full file
+/// replaces entries of differing ages; and some lookups and occupancy
+/// queries run at a later cycle than the clock that allocates, as the
+/// memory system's prefetch path does, so expiry is exercised out of
+/// order and exactly at completion boundaries.
 #[test]
 fn mshr_matches_reference_model() {
+    let replacements = Cell::new(0u64);
     check(
         &Config::cases(48),
-        // Small time steps relative to the 25-cycle fill latency so the
-        // file regularly fills up and exercises the replacement path.
+        // Small time steps relative to the fill latencies so the file
+        // regularly fills up and exercises the replacement path.
         |rng| {
             vec_of(rng, 1, 300, |r| {
                 (
                     (r.below(16), r.below(8)),
-                    (r.below(3) as u8, r.below(2) == 1),
+                    (r.below(5) as u8, r.below(2) == 1),
+                    // Short and long latencies, so a short one can land
+                    // in a full file whose entries all complete later.
+                    [r.below(8), 40 + r.below(8)][r.below(2) as usize],
                 )
             })
         },
@@ -278,17 +484,19 @@ fn mshr_matches_reference_model() {
             let mut dut = Mshr::new(6);
             let mut model = RefMshr::new(6);
             let mut now = 0u64;
-            for &((line, dt), (op, demand)) in ops {
-                now += dt; // time never goes backwards
+            for &((line, dt), (op, demand), lat) in ops {
+                now += dt;
                 let l = LineAddr(line);
+                // A cycle ahead of the clock, possibly on a completion.
+                let ahead = now + lat;
                 match op {
                     0 => {
                         let dut_hit = dut.lookup(l, now);
                         let model_hit = model.lookup(line, now);
                         prop_assert_eq!(dut_hit, model_hit, "lookup mismatch on {} @{}", line, now);
                     }
-                    _ => {
-                        let completes = now + 25;
+                    1 | 2 => {
+                        let completes = now + 1 + lat;
                         let dut_done = dut.allocate_kind(l, now, completes, demand);
                         let model_done = model.allocate(line, now, completes, demand);
                         prop_assert_eq!(
@@ -297,6 +505,17 @@ fn mshr_matches_reference_model() {
                             "completion mismatch on {} @{}",
                             line,
                             now
+                        );
+                    }
+                    3 => {
+                        prop_assert_eq!(dut.lookup(l, ahead), model.lookup(line, ahead));
+                    }
+                    _ => {
+                        prop_assert_eq!(
+                            dut.demand_occupancy(ahead) as usize,
+                            model.demand_occupancy(ahead),
+                            "demand occupancy @{}",
+                            ahead
                         );
                     }
                 }
@@ -308,9 +527,11 @@ fn mshr_matches_reference_model() {
                     model.demand_occupancy(now)
                 );
             }
+            replacements.set(replacements.get() + dut.full_stalls);
             Ok(())
         },
     );
+    assert!(replacements.get() > 0, "no case filled the MSHR file");
 }
 
 /// The page-table walker agrees with a flat reference map: the first walk
@@ -336,7 +557,7 @@ fn walker_matches_flat_reference_map() {
                 &mut fa,
             );
             let mut vm = Vmem::new(HugePagePolicy::None, 29);
-            let mut flat: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
+            let mut flat: FastMap<u64, u64> = FastMap::default();
             for &raw in vas {
                 let va = VirtAddr::new(raw);
                 let vpn = raw >> 12;
@@ -370,7 +591,7 @@ fn walker_matches_flat_reference_map() {
                     }
                 }
             }
-            let frames: std::collections::HashSet<u64> = flat.values().copied().collect();
+            let frames: FastSet<u64> = flat.values().copied().collect();
             prop_assert_eq!(frames.len(), flat.len(), "two pages share a frame");
             Ok(())
         },

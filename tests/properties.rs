@@ -7,7 +7,7 @@ use pagecross::moka::buffers::{UpdateBuffer, UpdateEntry};
 use pagecross::moka::features::{FeatureContext, ProgramFeature};
 use pagecross::types::prop::{check, vec_of, Config};
 use pagecross::types::{prop_assert, prop_assert_eq};
-use pagecross::types::{LineAddr, PageSize, Rng64, SatCounter, VirtAddr};
+use pagecross::types::{FastMap, FastSet, LineAddr, PageSize, Rng64, SatCounter, VirtAddr};
 
 /// A saturating counter never leaves its configured range under any
 /// operation sequence.
@@ -252,7 +252,7 @@ fn vmem_is_functional() {
         |pages| {
             let mut fa = FrameAllocator::new(4u64 << 30, 17);
             let mut vm = Vmem::new(HugePagePolicy::None, 19);
-            let mut seen = std::collections::HashMap::new();
+            let mut seen = FastMap::default();
             for &p in pages {
                 let va = VirtAddr::new(p << 12);
                 let t = vm.translate(va, &mut fa).expect("4GB pool cannot OOM");
@@ -261,7 +261,7 @@ fn vmem_is_functional() {
                     prop_assert_eq!(prev_pfn, t.pfn, "mapping must be stable");
                 }
             }
-            let frames: std::collections::HashSet<u64> = seen.values().copied().collect();
+            let frames: FastSet<u64> = seen.values().copied().collect();
             prop_assert_eq!(
                 frames.len(),
                 seen.len(),
@@ -359,8 +359,8 @@ fn physical_regions_never_collide_across_cores() {
             let mut fa = FrameAllocator::with_cores(cap, *seed, cores);
             let huge_base = fa.huge_region_base();
             let pt_base = fa.pt_region_base();
-            let mut taken_4k = std::collections::HashSet::new();
-            let mut pt_addrs = std::collections::HashSet::new();
+            let mut taken_4k = FastSet::default();
+            let mut pt_addrs = FastSet::default();
             for (i, &(kind, salt)) in ops.iter().enumerate() {
                 let core = (salt % cores as u64) as u32;
                 match kind {
