@@ -11,13 +11,14 @@
 //! **bit-for-bit identical** for any worker count — `--jobs 1` and
 //! `--jobs 32` produce the same reports, in the same order.
 //!
-//! The 20+ `benches/fig*`/`table*` experiment harnesses all call
-//! [`run_all`], which routes through the pool sized by
+//! The figure registry ([`crate::figures`]) runs the distinct cells of
+//! every requested figure through `run_cells` on the pool sized by
 //! [`env_jobs`] (`PAGECROSS_JOBS`, default: all available cores), so every
 //! figure campaign scales with the machine without per-experiment code.
 
 use std::time::{Duration, Instant};
 
+use moka_pgc::FilterConfig;
 use pagecross_cpu::trace::TraceFactory;
 use pagecross_cpu::{
     BoundaryMode, L2PrefetcherKind, OsConfig, PgcPolicyKind, PhaseTimings, PrefetcherKind, Report,
@@ -29,12 +30,13 @@ use pagecross_types::Rng64;
 use pagecross_workloads::Workload;
 
 /// Anything a campaign can simulate: a synthetic [`Workload`] from the
-/// registry, or a recorded [`TraceReplay`]. The runner only needs a
-/// factory to build streams from, a suite label for reporting, and the
-/// default warm-up/measured lengths.
+/// registry, a recorded [`TraceReplay`], or a multi-core mix of workloads.
+/// The runner only needs the factories to build streams from (one per
+/// core), a suite label for reporting, and the default warm-up/measured
+/// lengths.
 pub trait Subject: Sync {
-    /// The trace factory the engine consumes.
-    fn factory(&self) -> &dyn TraceFactory;
+    /// The trace factories the engine consumes, one per core.
+    fn factories(&self) -> Vec<&dyn TraceFactory>;
     /// Suite label for grouping in reports.
     fn suite_label(&self) -> &'static str;
     /// Default (warm-up, measured) instruction counts.
@@ -44,8 +46,8 @@ pub trait Subject: Sync {
 // References delegate so call sites holding `&&Workload` (iterating a
 // `Vec<&Workload>`) still satisfy the generic bound without deref noise.
 impl<S: Subject + ?Sized> Subject for &S {
-    fn factory(&self) -> &dyn TraceFactory {
-        (**self).factory()
+    fn factories(&self) -> Vec<&dyn TraceFactory> {
+        (**self).factories()
     }
 
     fn suite_label(&self) -> &'static str {
@@ -58,8 +60,8 @@ impl<S: Subject + ?Sized> Subject for &S {
 }
 
 impl Subject for Workload {
-    fn factory(&self) -> &dyn TraceFactory {
-        self
+    fn factories(&self) -> Vec<&dyn TraceFactory> {
+        vec![self]
     }
 
     fn suite_label(&self) -> &'static str {
@@ -72,8 +74,8 @@ impl Subject for Workload {
 }
 
 impl Subject for TraceReplay {
-    fn factory(&self) -> &dyn TraceFactory {
-        self
+    fn factories(&self) -> Vec<&dyn TraceFactory> {
+        vec![self]
     }
 
     fn suite_label(&self) -> &'static str {
@@ -100,6 +102,9 @@ pub struct Scheme {
     pub prefetcher: PrefetcherKind,
     /// Page-cross policy.
     pub policy: PgcPolicyKind,
+    /// A filter built from an explicit MOKA configuration, overriding
+    /// `policy` (ablations of buffer and table sizes).
+    pub filter: Option<FilterConfig>,
     /// L2C prefetcher.
     pub l2: L2PrefetcherKind,
     /// Filtering boundary mode.
@@ -117,6 +122,7 @@ impl Scheme {
             label: label.to_string(),
             prefetcher,
             policy,
+            filter: None,
             l2: L2PrefetcherKind::None,
             boundary: BoundaryMode::Fixed4K,
             huge: HugePagePolicy::None,
@@ -142,6 +148,15 @@ impl CampaignConfig {
     /// The historical default simulation seed; campaigns that never set a
     /// seed reproduce the pre-campaign-runner numbers exactly.
     pub const DEFAULT_SEED: u64 = 0xC0FFEE;
+
+    /// Scales a subject's default (warm-up, measured) lengths to the
+    /// lengths a cell runs.
+    pub(crate) fn lengths(&self, (warm, measure): (u64, u64)) -> (u64, u64) {
+        (
+            (warm as f64 * self.warmup_scale) as u64,
+            (measure as f64 * self.measure_scale) as u64,
+        )
+    }
 }
 
 impl Default for CampaignConfig {
@@ -157,27 +172,26 @@ impl Default for CampaignConfig {
 /// One (workload, scheme) cell result.
 #[derive(Clone, Debug)]
 pub struct WorkloadResult {
-    /// Workload name.
+    /// Workload name; the names joined by `+` for a mix.
     pub workload: String,
     /// Suite label.
     pub suite: &'static str,
     /// Scheme label.
     pub scheme: String,
-    /// Full simulation report (all-default when the cell failed).
-    pub report: Report,
+    /// Full simulation reports, one per core (all-default when the cell
+    /// failed).
+    pub reports: Vec<Report>,
     /// Why the cell failed (`None` = the report is a real result). A
     /// failed cell — e.g. physical-memory exhaustion under the OS model —
     /// never sinks the rest of the grid: the other cells still merge.
     pub error: Option<String>,
 }
 
-/// Runs one (subject, scheme) cell.
-pub fn run_one<S: Subject + ?Sized>(
-    w: &S,
-    scheme: &Scheme,
-    cfg: &CampaignConfig,
-) -> WorkloadResult {
-    run_one_timed(w, scheme, cfg).0
+impl WorkloadResult {
+    /// The first core's report: the whole result of a single-core cell.
+    pub fn report(&self) -> &Report {
+        &self.reports[0]
+    }
 }
 
 /// Runs one (subject, scheme) cell and reports where the host wall-clock
@@ -187,8 +201,8 @@ pub fn run_one_timed<S: Subject + ?Sized>(
     scheme: &Scheme,
     cfg: &CampaignConfig,
 ) -> (WorkloadResult, PhaseTimings) {
-    let (warm, measure) = w.lengths();
-    let factory = w.factory();
+    let (warm, measure) = cfg.lengths(w.lengths());
+    let factories = w.factories();
     let mut builder = SimulationBuilder::new()
         .prefetcher(scheme.prefetcher)
         .pgc_policy(scheme.policy)
@@ -196,24 +210,28 @@ pub fn run_one_timed<S: Subject + ?Sized>(
         .boundary(scheme.boundary)
         .huge_pages(scheme.huge.clone())
         .seed(cfg.seed)
-        .warmup((warm as f64 * cfg.warmup_scale) as u64)
-        .instructions((measure as f64 * cfg.measure_scale) as u64);
+        .warmup(warm)
+        .instructions(measure);
+    if let Some(filter) = &scheme.filter {
+        builder = builder.custom_filter(filter.clone());
+    }
     if let Some(os) = scheme.os {
         builder = builder.os(os);
     }
-    let (report, phases, error) = match builder.run(&[factory], None) {
-        Ok(mut out) => (out.reports.swap_remove(0), out.timings, None),
+    let (reports, phases, error) = match builder.run(&factories, None) {
+        Ok(out) => (out.reports, out.timings, None),
         Err(e) => (
-            Report::default(),
+            vec![Report::default(); factories.len()],
             PhaseTimings::default(),
             Some(e.to_string()),
         ),
     };
+    let names: Vec<&str> = factories.iter().map(|f| f.name()).collect();
     let result = WorkloadResult {
-        workload: factory.name().to_string(),
+        workload: names.join("+"),
         suite: w.suite_label(),
         scheme: scheme.label.clone(),
-        report,
+        reports,
         error,
     };
     (result, phases)
@@ -339,21 +357,34 @@ pub fn env_jobs() -> usize {
 
 /// Runs the full (workload × scheme) grid on `jobs` worker threads and
 /// returns results merged deterministically into grid order.
-///
-/// Each shard owns the cells with `index % jobs == shard` and visits them
-/// in an order drawn from a shard-seeded [`Rng64`]; the merge sorts by cell
-/// index, so the output never depends on thread scheduling or `jobs`.
 pub fn run_grid<S: Subject + ?Sized>(
     workloads: &[&S],
     schemes: &[Scheme],
     cfg: &CampaignConfig,
     jobs: usize,
 ) -> CampaignRun {
-    let cells: Vec<(usize, &S, &Scheme)> = workloads
+    let cells: Vec<(&S, &Scheme)> = workloads
         .iter()
         .flat_map(|&w| schemes.iter().map(move |s| (w, s)))
+        .collect();
+    run_cells(&cells, cfg, jobs)
+}
+
+/// Runs a list of (subject, scheme) cells on `jobs` worker threads and
+/// returns results merged deterministically into list order.
+///
+/// Each shard owns the cells with `index % jobs == shard` and visits them
+/// in an order drawn from a shard-seeded [`Rng64`]; the merge sorts by cell
+/// index, so the output never depends on thread scheduling or `jobs`.
+pub(crate) fn run_cells<S: Subject + ?Sized>(
+    cells: &[(&S, &Scheme)],
+    cfg: &CampaignConfig,
+    jobs: usize,
+) -> CampaignRun {
+    let cells: Vec<(usize, &S, &Scheme)> = cells
+        .iter()
         .enumerate()
-        .map(|(i, (w, s))| (i, w, s))
+        .map(|(i, &(w, s))| (i, w, s))
         .collect();
     let jobs = jobs.clamp(1, cells.len().max(1));
 
@@ -431,20 +462,9 @@ pub fn run_grid<S: Subject + ?Sized>(
     }
 }
 
-/// Runs the full cross product on the [`env_jobs`] worker pool; results are
-/// grouped by workload then scheme (scheme order preserved within each
-/// workload), exactly as the serial runner produced them.
-pub fn run_all<S: Subject + ?Sized>(
-    workloads: &[&S],
-    schemes: &[Scheme],
-    cfg: &CampaignConfig,
-) -> Vec<WorkloadResult> {
-    run_grid(workloads, schemes, cfg, env_jobs()).results
-}
-
-/// Campaign scale from the environment: `PAGECROSS_SCALE` multiplies the
-/// measured instruction counts (default 1.0). Use e.g. `PAGECROSS_SCALE=4`
-/// for higher-fidelity runs.
+/// Campaign scale from the environment: `PAGECROSS_SCALE` multiplies both
+/// the warm-up and the measured instruction counts (default 1.0, clamped
+/// to 0.05..=100). Use e.g. `PAGECROSS_SCALE=4` for higher-fidelity runs.
 pub fn env_scale() -> CampaignConfig {
     let scale = std::env::var("PAGECROSS_SCALE")
         .ok()
@@ -458,16 +478,21 @@ pub fn env_scale() -> CampaignConfig {
     }
 }
 
-/// The default experiment workload set: a template-stratified slice of the
-/// seen set spanning every suite (size controlled by `PAGECROSS_PER_SUITE`,
-/// default 4 → 32 workloads).
-pub fn quick_seen_set() -> Vec<&'static Workload> {
-    let per_suite = std::env::var("PAGECROSS_PER_SUITE")
+/// Workloads per suite in the experiment sets: `PAGECROSS_PER_SUITE`
+/// (default 4, clamped to 1..=64).
+pub(crate) fn env_per_suite() -> usize {
+    std::env::var("PAGECROSS_PER_SUITE")
         .ok()
         .and_then(|s| s.parse::<usize>().ok())
         .unwrap_or(4)
-        .clamp(1, 64);
-    pagecross_workloads::representative_seen(per_suite)
+        .clamp(1, 64)
+}
+
+/// The default experiment workload set: a template-stratified slice of the
+/// seen set spanning every suite (`PAGECROSS_PER_SUITE` per suite, default
+/// 4 → 32 workloads).
+pub fn quick_seen_set() -> Vec<&'static Workload> {
+    pagecross_workloads::representative_seen(env_per_suite())
 }
 
 /// The motivation-study set (Figs. 2–4): a curated dozen covering
@@ -502,7 +527,7 @@ pub fn ipcs_of(results: &[WorkloadResult], scheme: &str) -> Vec<f64> {
     results
         .iter()
         .filter(|r| r.scheme == scheme)
-        .map(|r| r.report.ipc())
+        .map(|r| r.report().ipc())
         .collect()
 }
 
@@ -537,7 +562,7 @@ mod tests {
             assert_eq!(a.workload, b.workload);
             assert_eq!(a.scheme, b.scheme);
             assert_eq!(
-                a.report, b.report,
+                a.reports, b.reports,
                 "{}:{} diverged across worker counts",
                 a.workload, a.scheme
             );
@@ -591,11 +616,11 @@ mod tests {
         let b = run_grid(&ws[..1], &schemes[..1], &base, 2);
         let c = run_grid(&ws[..1], &schemes[..1], &other, 2);
         assert_eq!(
-            a.results[0].report, b.results[0].report,
+            a.results[0].reports, b.results[0].reports,
             "same seed, same report"
         );
         assert_ne!(
-            a.results[0].report, c.results[0].report,
+            a.results[0].reports, c.results[0].reports,
             "a different campaign seed must change frame allocation"
         );
     }
@@ -675,8 +700,8 @@ mod tests {
         }
     }
     impl Subject for CodeBomb {
-        fn factory(&self) -> &dyn TraceFactory {
-            self
+        fn factories(&self) -> Vec<&dyn TraceFactory> {
+            vec![self]
         }
         fn suite_label(&self) -> &'static str {
             "synthetic"
@@ -734,13 +759,13 @@ mod tests {
             failed.error
         );
         assert_eq!(
-            failed.report,
-            Report::default(),
+            failed.reports,
+            [Report::default()],
             "failed cells carry no numbers"
         );
         let ok = &run.results[1];
         assert!(ok.error.is_none(), "the sibling cell merges normally");
-        assert!(ok.report.ipc() > 0.0);
+        assert!(ok.report().ipc() > 0.0);
     }
 
     #[test]
@@ -778,7 +803,7 @@ mod tests {
             );
             assert_eq!(a.scheme, b.scheme);
             assert_eq!(
-                a.report, b.report,
+                a.reports, b.reports,
                 "{}:{} diverged under replay",
                 a.workload, a.scheme
             );

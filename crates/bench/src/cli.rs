@@ -598,7 +598,7 @@ fn simulate_with_telemetry(
         ..TelemetryConfig::default()
     });
     let mut run = builder
-        .run(&[subject.factory()], tcfg.as_ref())
+        .run(&subject.factories(), tcfg.as_ref())
         .map_err(|e| CliError(format!("simulation aborted: {e}")))?;
     let report = run.reports.swap_remove(0);
     let mut lines = Vec::new();
@@ -678,9 +678,9 @@ fn find_workload(name: &str) -> Result<&'static Workload, CliError> {
 /// Formats the discard/permit/dripper row from three grid-ordered cell
 /// results of one workload.
 fn compare_row(cells: &[WorkloadResult]) -> String {
-    let d = cells[0].report.ipc();
-    let p = cells[1].report.ipc();
-    let x = cells[2].report.ipc();
+    let d = cells[0].report().ipc();
+    let p = cells[1].report().ipc();
+    let x = cells[2].report().ipc();
     format!(
         "{:<14} discard ipc={:.3}  permit {:+.2}%  dripper {:+.2}%",
         cells[0].workload,
@@ -1040,7 +1040,7 @@ mod tests {
         let (_, measure) = w.default_lengths();
         assert_eq!(run.results.len(), 3);
         for cell in &run.results {
-            assert_eq!(cell.report.core.instructions, measure / 20);
+            assert_eq!(cell.report().core.instructions, measure / 20);
         }
     }
 

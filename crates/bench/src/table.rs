@@ -1,4 +1,4 @@
-//! Report-table formatting helpers shared by the figure/table benches.
+//! Report-table formatting helpers shared by the figure registry.
 
 use pagecross_types::geomean;
 
@@ -32,44 +32,50 @@ pub fn geomean_speedup(variant: &[f64], baseline: &[f64]) -> f64 {
     geomean(&ratios).unwrap_or(1.0)
 }
 
-/// Prints a TSV header line prefixed with the experiment id.
-pub fn print_header(experiment: &str, cols: &[&str]) {
-    println!("[{experiment}] {}", cols.join("\t"));
+/// One figure's output: TSV lines and a closing paper-vs-measured SUMMARY
+/// line, each prefixed with the figure's id in the stable grep-able format
+/// EXPERIMENTS.md references.
+#[derive(Debug)]
+pub struct Table {
+    id: &'static str,
+    text: String,
 }
 
-/// Prints a TSV row prefixed with the experiment id.
-pub fn print_row(experiment: &str, cells: &[String]) {
-    println!("[{experiment}] {}", cells.join("\t"));
-}
+impl Table {
+    /// An empty output for the figure `id` (e.g. "fig10").
+    pub fn new(id: &'static str) -> Self {
+        Self {
+            id,
+            text: String::new(),
+        }
+    }
 
-/// A paper-vs-measured summary line printed at the end of each experiment.
-#[derive(Clone, Debug)]
-pub struct Summary {
-    /// Experiment id (e.g. "fig10").
-    pub experiment: String,
-    /// What the paper reports.
-    pub paper: String,
-    /// What this reproduction measured.
-    pub measured: String,
-    /// Whether the qualitative shape matches.
-    pub shape_holds: bool,
-}
+    /// Appends a TSV header line.
+    pub fn header(&mut self, cols: &[&str]) {
+        self.line(&cols.join("\t"));
+    }
 
-impl Summary {
-    /// Prints the summary in the stable grep-able format EXPERIMENTS.md
-    /// references.
-    pub fn print(&self) {
-        println!(
-            "[{}] SUMMARY paper=({}) measured=({}) shape={}",
-            self.experiment,
-            self.paper,
-            self.measured,
-            if self.shape_holds {
-                "HOLDS"
-            } else {
-                "DIVERGES"
-            }
-        );
+    /// Appends a TSV row.
+    pub fn row(&mut self, cells: &[String]) {
+        self.line(&cells.join("\t"));
+    }
+
+    /// Appends the SUMMARY line: what the paper reports, what this
+    /// reproduction measured, and whether the qualitative shape matches.
+    pub fn summary(&mut self, paper: &str, measured: &str, shape_holds: bool) {
+        let shape = if shape_holds { "HOLDS" } else { "DIVERGES" };
+        self.line(&format!(
+            "SUMMARY paper=({paper}) measured=({measured}) shape={shape}"
+        ));
+    }
+
+    fn line(&mut self, body: &str) {
+        self.text.push_str(&format!("[{}] {body}\n", self.id));
+    }
+
+    /// The lines appended so far, each ending in a newline.
+    pub fn text(&self) -> &str {
+        &self.text
     }
 }
 
@@ -99,5 +105,17 @@ mod tests {
     #[should_panic(expected = "paired")]
     fn mismatched_lengths_rejected() {
         geomean_speedup(&[1.0], &[]);
+    }
+
+    #[test]
+    fn table_prefixes_every_line_with_the_id() {
+        let mut t = Table::new("fig10");
+        t.header(&["a", "b"]);
+        t.row(&["1".into(), "2".into()]);
+        t.summary("p", "m", false);
+        assert_eq!(
+            t.text(),
+            "[fig10] a\tb\n[fig10] 1\t2\n[fig10] SUMMARY paper=(p) measured=(m) shape=DIVERGES\n"
+        );
     }
 }

@@ -22,7 +22,7 @@ use pagecross_types::{PrefetchCandidate, VirtAddr};
 use std::time::Instant;
 
 /// L1D prefetcher selection.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PrefetcherKind {
     /// No prefetching.
     None,
@@ -62,7 +62,7 @@ impl PrefetcherKind {
 }
 
 /// Page-cross policy selection (the schemes of Fig. 9 and §V).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PgcPolicyKind {
     /// Always issue page-cross prefetches.
     PermitPgc,
@@ -110,7 +110,7 @@ impl PgcPolicyKind {
 }
 
 /// L2C prefetcher selection (§V-B7).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum L2PrefetcherKind {
     /// No L2C prefetcher (the paper's main configuration).
     #[default]

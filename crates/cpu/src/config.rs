@@ -1,7 +1,7 @@
 //! Core-model configuration (Table IV core parameters).
 
 /// Which boundary the page-cross policy filters at (§V-B6).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum BoundaryMode {
     /// Filter every prefetch that crosses a 4 KB boundary, regardless of
     /// the backing page size — DRIPPER's default, which §V-B6 shows wins.

@@ -40,6 +40,22 @@ cargo build --release --offline --workspace
 echo "== verify: offline test suite =="
 cargo test -q --offline --workspace
 
+echo "== verify: every figure renders (figures bench, scale 0.05) =="
+# Nothing else runs the figure renderers, so a renderer panic would go
+# unnoticed. A short run of every registry id must exit 0 and print exactly
+# one SUMMARY line per id; the ids come from the bench's own list of valid
+# ids, printed when it is given an unknown one.
+PAGECROSS_SCALE=0.05 cargo bench --offline -q -p pagecross-bench --bench figures \
+    > "$SCRATCH/figures.txt"
+EXPECTED_IDS=$( { cargo bench --offline -q -p pagecross-bench --bench figures -- '?' 2>&1 || true; } \
+    | sed -n 's/^error: unknown figure id .*; valid ids: //p' | tr ' ' '\n' | sort)
+SUMMARY_IDS=$(grep ' SUMMARY ' "$SCRATCH/figures.txt" | cut -d' ' -f1 | tr -d '[]' | sort)
+if [ -z "$EXPECTED_IDS" ] || [ "$EXPECTED_IDS" != "$SUMMARY_IDS" ]; then
+    echo "verify: FAIL — figures printed SUMMARY lines for [$SUMMARY_IDS]," \
+         "expected one for each of [$EXPECTED_IDS]" >&2
+    exit 1
+fi
+
 echo "== verify: record -> replay round trip =="
 # Record a short trace, replay it, and check the replay output is
 # bit-identical to the direct run — offline, in a throwaway directory.
