@@ -87,15 +87,36 @@ fn main() {
         .prefetcher(PrefetcherKind::Ipcp)
         .pgc_policy(PgcPolicyKind::PermitPgc)
         .os(os);
+    // THP 1.0 on a full 64 MB pool: reclaims, major faults, promotions
+    // and demotions all fire.
+    let reclaim_builder = SimulationBuilder::new()
+        .prefetcher(PrefetcherKind::Ipcp)
+        .pgc_policy(PgcPolicyKind::DiscardPgc)
+        .os(OsConfig {
+            phys_mem_bytes: 64 << 20,
+            thp: 1.0,
+            ..OsConfig::default()
+        });
     let mixes = [
-        (SimulationBuilder::new(), random_mixes(1, 4, 42).remove(0)),
-        (os_builder, vec![&gap[0], &gap[1]]),
+        (
+            SimulationBuilder::new(),
+            random_mixes(1, 4, 42).remove(0),
+            5_000,
+            20_000,
+        ),
+        (os_builder, vec![&gap[0], &gap[1]], 5_000, 20_000),
+        (
+            reclaim_builder,
+            gap.iter().take(4).collect(),
+            10_000,
+            50_000,
+        ),
     ];
-    for (builder, mix) in mixes {
+    for (builder, mix, warmup, instructions) in mixes {
         let ws: Vec<&dyn TraceFactory> = mix.iter().map(|w| *w as _).collect();
         let m = builder
-            .warmup(5_000)
-            .instructions(20_000)
+            .warmup(warmup)
+            .instructions(instructions)
             .try_run_mix(&ws)
             .expect("the mix fits in memory");
         println!("mix {:?}", m.workloads);

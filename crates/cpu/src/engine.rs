@@ -87,6 +87,9 @@ pub struct CoreEngine {
     delta_hist: [i64; 3],
     last_line: i64,
     touched_pages: FastSet<u64>,
+    /// The page of the previous demand access (`u64::MAX` before the
+    /// first): already in `touched_pages`, so its lookup is skipped.
+    last_touched_page: u64,
 
     epoch_base: TelemetryCounters,
     snapshot: SystemSnapshot,
@@ -144,6 +147,7 @@ impl CoreEngine {
             delta_hist: [0; 3],
             last_line: 0,
             touched_pages: FastSet::default(),
+            last_touched_page: u64::MAX,
             epoch_base: TelemetryCounters::default(),
             snapshot: SystemSnapshot::default(),
             instrs_since_spot: 0,
@@ -303,14 +307,13 @@ impl CoreEngine {
             },
         };
         // Under the OS model a prefetcher must never fault a page in: a
-        // non-resident target forbids the speculative walk (and the walk
-        // will miss anyway, dropping the prefetch at translation).
-        let resident = os
-            .as_ref()
-            .is_none_or(|o| o.is_resident(self.core_id, cand.target));
+        // non-resident target forbids the speculative walk. Residency is
+        // asked only when both TLB probes miss and a walk is due.
+        let core = self.core_id;
+        let resident = || os.as_ref().is_none_or(|o| o.is_resident(core, cand.target));
 
         if !crosses {
-            let r = mem.issue_prefetch(self.core_id, cand.target, false, at_cycle, resident)?;
+            let r = mem.issue_prefetch(core, cand.target, false, at_cycle, resident)?;
             if r.issued {
                 self.pstats.inpage_issued += 1;
                 if let Some(ev) = r.l1d_eviction {
@@ -351,13 +354,9 @@ impl CoreEngine {
                 self.pstats.pgc_discarded += 1;
             }
             PolicyAction::Issue { allow_walk } => {
-                let r = mem.issue_prefetch(
-                    self.core_id,
-                    cand.target,
-                    true,
-                    at_cycle,
-                    allow_walk && resident,
-                )?;
+                let r = mem.issue_prefetch(core, cand.target, true, at_cycle, || {
+                    allow_walk && resident()
+                })?;
                 if r.walked {
                     self.pstats.speculative_walks += 1;
                 }
@@ -421,7 +420,9 @@ impl CoreEngine {
         }
 
         // First touch to the page?
-        let fpa = self.touched_pages.insert(va.page_4k().raw());
+        let page = va.page_4k().raw();
+        let fpa = page != self.last_touched_page && self.touched_pages.insert(page);
+        self.last_touched_page = page;
 
         // Train the L1D prefetcher and collect candidates.
         let info = AccessInfo {

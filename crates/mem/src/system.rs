@@ -529,17 +529,19 @@ impl MemorySystem {
     /// Issues an L1D prefetch for virtual address `va` on behalf of `core`.
     ///
     /// The target is translated through the TLB hierarchy (prefetch-probe
-    /// statistics); when the translation is absent and `allow_walk` is set,
-    /// a *speculative page walk* is performed — the high-risk step the paper
-    /// studies (up to 4 extra memory references). When `allow_walk` is
-    /// false the prefetch is dropped instead (the `Discard PTW` scenario).
+    /// statistics); when the translation is absent and `allow_walk()`
+    /// returns true, a *speculative page walk* is performed — the
+    /// high-risk step the paper studies (up to 4 extra memory references).
+    /// Otherwise the prefetch is dropped (the `Discard PTW` scenario).
+    /// `allow_walk` runs only when both TLB probes miss, so a costly
+    /// permission check is paid only by prefetches that need a walk.
     pub fn issue_prefetch(
         &mut self,
         core: usize,
         va: VirtAddr,
         page_cross: bool,
         cycle: u64,
-        allow_walk: bool,
+        allow_walk: impl FnOnce() -> bool,
     ) -> Result<PrefetchIssueResult, OomError> {
         let c = &mut self.cores[core];
         let (outcome, tr, t_ready, walked) = if let Some(t) = c.dtlb.prefetch_probe(va) {
@@ -551,7 +553,7 @@ impl MemorySystem {
             (TranslationOutcome::StlbHit, t, ready, false)
         } else {
             let outcome = TranslationOutcome::RequiresWalk;
-            if !allow_walk {
+            if !allow_walk() {
                 return Ok(PrefetchIssueResult {
                     issued: false,
                     redundant: false,
@@ -808,9 +810,9 @@ mod tests {
         let trig = VirtAddr::new(0x3000_0000);
         m.demand_data(0, trig, false, 0).unwrap();
         let tgt = VirtAddr::new(0x3000_0400);
-        let r = m.issue_prefetch(0, tgt, false, 100, true).unwrap();
+        let r = m.issue_prefetch(0, tgt, false, 100, || true).unwrap();
         assert!(r.issued);
-        let again = m.issue_prefetch(0, tgt, false, 20_000, true).unwrap();
+        let again = m.issue_prefetch(0, tgt, false, 20_000, || true).unwrap();
         assert!(again.redundant);
         // Demand access now hits and promotes the prefetch to useful.
         let d = m.demand_data(0, tgt, false, 30_000).unwrap();
@@ -823,7 +825,7 @@ mod tests {
         let trig = VirtAddr::new(0x4000_0FC0); // last line of its page
         m.demand_data(0, trig, false, 0).unwrap();
         let tgt = trig.offset(64); // next page, cold TLB
-        let r = m.issue_prefetch(0, tgt, true, 1_000, true).unwrap();
+        let r = m.issue_prefetch(0, tgt, true, 1_000, || true).unwrap();
         assert_eq!(r.translation, TranslationOutcome::RequiresWalk);
         assert!(r.issued && r.walked);
         assert_eq!(m.core(0).walk_stats.prefetch_walks, 1);
@@ -838,7 +840,7 @@ mod tests {
     fn discard_ptw_semantics() {
         let mut m = sys();
         let tgt = VirtAddr::new(0x5000_0000);
-        let r = m.issue_prefetch(0, tgt, true, 0, false).unwrap();
+        let r = m.issue_prefetch(0, tgt, true, 0, || false).unwrap();
         assert!(!r.issued && !r.walked);
         assert_eq!(r.translation, TranslationOutcome::RequiresWalk);
         assert_eq!(m.core(0).walk_stats.prefetch_walks, 0);
@@ -932,7 +934,7 @@ mod tests {
                 VirtAddr::new(0xB000_0000 + i * 64),
                 false,
                 i * 1_000,
-                i % 2 == 0,
+                || i % 2 == 0,
             )
             .unwrap();
         }
@@ -973,7 +975,7 @@ mod tests {
         let va = VirtAddr::new(0xC000_0000);
         m.demand_data(0, va, false, 0).unwrap(); // cold: walk + demand fill
         let r = m
-            .issue_prefetch(0, va.offset(4096), true, 1_000, true)
+            .issue_prefetch(0, va.offset(4096), true, 1_000, || true)
             .unwrap();
         assert!(r.issued && r.walked);
 

@@ -17,9 +17,7 @@
 //! [`OomError`] instead of a panic, so callers (the campaign runner, or the
 //! OS reclamation layer in `pagecross-os`) can handle it.
 
-use pagecross_types::{
-    FastMap, FastSet, PageSize, Rng64, VirtAddr, HUGE_PAGE_SHIFT_2M, PAGE_SHIFT_4K,
-};
+use pagecross_types::{FastMap, PageSize, Rng64, VirtAddr, HUGE_PAGE_SHIFT_2M, PAGE_SHIFT_4K};
 use std::fmt;
 
 use crate::tlb::Translation;
@@ -61,13 +59,52 @@ impl fmt::Display for OomError {
 
 impl std::error::Error for OomError {}
 
+/// Occupancy of one core's slice of a frame pool: one bit per frame,
+/// indexed from the slice's first frame, plus the number of bits set.
+#[derive(Clone, Debug)]
+struct SliceBitmap {
+    words: Vec<u64>,
+    used: u64,
+}
+
+impl SliceBitmap {
+    fn new(frames: u64) -> Self {
+        Self {
+            words: vec![0; frames.div_ceil(64) as usize],
+            used: 0,
+        }
+    }
+
+    /// Sets bit `idx`; false when it was already set.
+    fn insert(&mut self, idx: u64) -> bool {
+        let (w, bit) = ((idx / 64) as usize, 1u64 << (idx % 64));
+        if self.words[w] & bit != 0 {
+            return false;
+        }
+        self.words[w] |= bit;
+        self.used += 1;
+        true
+    }
+
+    /// Clears bit `idx`; false when it was already clear.
+    fn remove(&mut self, idx: u64) -> bool {
+        let (w, bit) = ((idx / 64) as usize, 1u64 << (idx % 64));
+        if self.words[w] & bit == 0 {
+            return false;
+        }
+        self.words[w] &= !bit;
+        self.used -= 1;
+        true
+    }
+}
+
 /// One core's private allocation context: its own RNG stream and its own
 /// occupancy within its slice of each physical region.
 #[derive(Clone, Debug)]
 struct CoreFrames {
     rng: Rng64,
-    used_4k: FastSet<u64>,
-    used_2m: FastSet<u64>,
+    used_4k: SliceBitmap,
+    used_2m: SliceBitmap,
     next_pt: u64,
 }
 
@@ -116,11 +153,13 @@ impl FrameAllocator {
         let pt_frames = total_frames - pt_region_base;
         let n = n_cores as u64;
         let slice_pt = pt_frames / n;
+        let slice_4k = base_4k_frames / n;
+        let slice_2m = huge_frames / n;
         let per_core = (0..n)
             .map(|i| CoreFrames {
                 rng: Rng64::new(seed ^ 0x5EED_F4A3 ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                used_4k: FastSet::default(),
-                used_2m: FastSet::default(),
+                used_4k: SliceBitmap::new(slice_4k),
+                used_2m: SliceBitmap::new(slice_2m),
                 next_pt: pt_region_base + i * slice_pt,
             })
             .collect();
@@ -130,8 +169,8 @@ impl FrameAllocator {
             huge_frames,
             pt_region_base,
             pt_frames,
-            slice_4k: base_4k_frames / n,
-            slice_2m: huge_frames / n,
+            slice_4k,
+            slice_2m,
             slice_pt,
             per_core,
         }
@@ -167,18 +206,20 @@ impl FrameAllocator {
         self.huge_region_base >> (HUGE_PAGE_SHIFT_2M - PAGE_SHIFT_4K)
     }
 
-    /// Allocates a random free 4 KB frame from `core`'s slice.
+    /// Allocates a random free 4 KB frame from `core`'s slice. Draws
+    /// uniformly over the slice until a free frame comes up, so the frame
+    /// sequence depends only on the seed and the alloc/free history.
     pub fn alloc_4k(&mut self, core: u32) -> Result<u64, OomError> {
         let base = core as u64 * self.slice_4k;
         let slice = self.slice_4k;
         let c = &mut self.per_core[core as usize];
-        if c.used_4k.len() as u64 >= slice {
+        if c.used_4k.used >= slice {
             return Err(OomError::Frames4K);
         }
         loop {
-            let pfn = base + c.rng.below(slice);
-            if c.used_4k.insert(pfn) {
-                return Ok(pfn);
+            let idx = c.rng.below(slice);
+            if c.used_4k.insert(idx) {
+                return Ok(base + idx);
             }
         }
     }
@@ -189,31 +230,43 @@ impl FrameAllocator {
         let base = self.base_2m() + core as u64 * self.slice_2m;
         let slice = self.slice_2m;
         let c = &mut self.per_core[core as usize];
-        if c.used_2m.len() as u64 >= slice {
+        if c.used_2m.used >= slice {
             return Err(OomError::Frames2M);
         }
         loop {
-            let pfn2m = base + c.rng.below(slice);
-            if c.used_2m.insert(pfn2m) {
-                return Ok(pfn2m);
+            let idx = c.rng.below(slice);
+            if c.used_2m.insert(idx) {
+                return Ok(base + idx);
             }
         }
     }
 
     /// Returns a 4 KB frame to the pool it was allocated from (reclamation).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pfn` lies outside every core's 4 KB slice.
     pub fn free_4k(&mut self, pfn: u64) {
-        debug_assert!(pfn < self.total_4k_frames, "not a 4KB data frame");
-        let owner = (pfn / self.slice_4k).min(self.per_core.len() as u64 - 1);
-        let removed = self.per_core[owner as usize].used_4k.remove(&pfn);
+        let owner = pfn / self.slice_4k;
+        assert!(owner < self.per_core.len() as u64, "not a 4KB data frame");
+        let removed = self.per_core[owner as usize]
+            .used_4k
+            .remove(pfn - owner * self.slice_4k);
         debug_assert!(removed, "double free of 4KB frame {pfn}");
     }
 
     /// Returns a 2 MB frame to the pool it was allocated from (reclamation).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pfn2m` lies outside every core's 2 MB slice.
     pub fn free_2m(&mut self, pfn2m: u64) {
         let idx = pfn2m - self.base_2m();
-        debug_assert!(idx < self.huge_frames, "not a 2MB data frame");
-        let owner = (idx / self.slice_2m).min(self.per_core.len() as u64 - 1);
-        let removed = self.per_core[owner as usize].used_2m.remove(&pfn2m);
+        let owner = idx / self.slice_2m;
+        assert!(owner < self.per_core.len() as u64, "not a 2MB data frame");
+        let removed = self.per_core[owner as usize]
+            .used_2m
+            .remove(idx - owner * self.slice_2m);
         debug_assert!(removed, "double free of 2MB frame {pfn2m}");
     }
 
@@ -240,8 +293,8 @@ impl FrameAllocator {
             .iter()
             .enumerate()
             .map(|(i, c)| {
-                c.used_4k.len() as u64
-                    + c.used_2m.len() as u64
+                c.used_4k.used
+                    + c.used_2m.used
                     + (c.next_pt - (self.pt_region_base + i as u64 * self.slice_pt))
             })
             .sum()
@@ -249,12 +302,12 @@ impl FrameAllocator {
 
     /// Free 4 KB frames remaining in `core`'s slice.
     pub fn free_4k_frames(&self, core: u32) -> u64 {
-        self.slice_4k - self.per_core[core as usize].used_4k.len() as u64
+        self.slice_4k - self.per_core[core as usize].used_4k.used
     }
 
     /// Free 2 MB frames remaining in `core`'s slice.
     pub fn free_2m_frames(&self, core: u32) -> u64 {
-        self.slice_2m - self.per_core[core as usize].used_2m.len() as u64
+        self.slice_2m - self.per_core[core as usize].used_2m.used
     }
 
     /// Total page-table node frames across all cores (diagnostics).
@@ -404,22 +457,14 @@ impl Vmem {
         self.map_2m.remove(&vpn2m)
     }
 
-    /// Removes and returns every 4 KB mapping inside the aligned 2 MB
-    /// region `vpn2m`, sorted by VPN (deterministic promotion order).
-    pub fn take_region_4k(&mut self, vpn2m: u64) -> Vec<(u64, u64)> {
-        let lo = vpn2m << (HUGE_PAGE_SHIFT_2M - PAGE_SHIFT_4K);
-        let hi = lo + (1 << (HUGE_PAGE_SHIFT_2M - PAGE_SHIFT_4K));
-        let mut out: Vec<(u64, u64)> = self
-            .map_4k
-            .iter()
-            .filter(|(&vpn, _)| vpn >= lo && vpn < hi)
-            .map(|(&vpn, &pfn)| (vpn, pfn))
-            .collect();
-        out.sort_unstable();
-        for (vpn, _) in &out {
-            self.map_4k.remove(vpn);
-        }
-        out
+    /// Whether the 4 KB page `vpn4k` has a 4 KB mapping.
+    pub fn is_mapped_4k(&self, vpn4k: u64) -> bool {
+        self.map_4k.contains_key(&vpn4k)
+    }
+
+    /// Whether the aligned 2 MB region `vpn2m` has a 2 MB mapping.
+    pub fn is_mapped_2m(&self, vpn2m: u64) -> bool {
+        self.map_2m.contains_key(&vpn2m)
     }
 
     /// Number of mapped 4 KB pages.
@@ -436,6 +481,7 @@ impl Vmem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pagecross_types::FastSet;
 
     fn setup(policy: HugePagePolicy) -> (Vmem, FrameAllocator) {
         (Vmem::new(policy, 1), FrameAllocator::new(4u64 << 30, 2))
@@ -652,13 +698,17 @@ mod tests {
         for i in [1u64, 5, 9] {
             let f = fa.alloc_4k(0).unwrap();
             vm.map_4k_at((region << 9) + i, f);
+            assert!(vm.is_mapped_4k((region << 9) + i));
         }
-        let taken = vm.take_region_4k(region);
-        assert_eq!(taken.len(), 3);
-        assert!(taken.windows(2).all(|w| w[0].0 < w[1].0), "sorted by VPN");
+        for i in [1u64, 5, 9] {
+            let f = vm.unmap_4k((region << 9) + i).unwrap();
+            fa.free_4k(f);
+        }
         assert_eq!(vm.mapped_4k(), 0);
         let f2m = fa.alloc_2m(0).unwrap();
         vm.map_2m_at(region, f2m);
+        assert!(vm.is_mapped_2m(region));
+        assert!(!vm.is_mapped_4k(region << 9));
         let t = vm
             .translate(VirtAddr::new((region << 21) + 0x3000), &mut fa)
             .unwrap();

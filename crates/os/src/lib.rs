@@ -18,7 +18,7 @@
 //! split 2 MB frames are never coalesced back (no memory compaction).
 
 use pagecross_mem::{MemorySystem, OomError};
-use pagecross_types::{FastMap, FastSet, OsOp, OsStats, TraceEvent, VirtAddr};
+use pagecross_types::{FastMap, OsOp, OsStats, TraceEvent, VirtAddr};
 use std::collections::VecDeque;
 
 /// Tunables for the imitation OS. All latencies are in core cycles
@@ -71,35 +71,120 @@ impl OsConfig {
 
 const PAGES_PER_REGION: u64 = 512;
 
+/// One bit per 4 KB page of a 2 MB region, indexed by `vpn4k % 512`.
+#[derive(Clone, Copy, Default, PartialEq)]
+struct PageBits([u64; 8]);
+
+impl PageBits {
+    const ALL: PageBits = PageBits([u64::MAX; 8]);
+    const NONE: PageBits = PageBits([0; 8]);
+
+    fn get(&self, idx: u64) -> bool {
+        self.0[(idx / 64) as usize] & (1 << (idx % 64)) != 0
+    }
+
+    fn set(&mut self, idx: u64) {
+        self.0[(idx / 64) as usize] |= 1 << (idx % 64);
+    }
+
+    fn clear(&mut self, idx: u64) {
+        self.0[(idx / 64) as usize] &= !(1 << (idx % 64));
+    }
+
+    /// Clears bit `idx` and returns whether it was set.
+    fn take(&mut self, idx: u64) -> bool {
+        let was = self.get(idx);
+        self.clear(idx);
+        was
+    }
+
+    fn count(&self) -> u64 {
+        self.0.iter().map(|w| u64::from(w.count_ones())).sum()
+    }
+
+    fn is_empty(&self) -> bool {
+        *self == Self::NONE
+    }
+
+    /// Set bits in ascending order.
+    fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        self.0.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let b = u64::from(bits.trailing_zeros());
+                bits &= bits - 1;
+                Some(w as u64 * 64 + b)
+            })
+        })
+    }
+}
+
+/// Everything one core's pager records about one 2 MB virtual region.
+#[derive(Default)]
+struct Region {
+    /// 4 KB pages resident under 4 KB mappings (empty while `huge`).
+    resident: PageBits,
+    /// CLOCK referenced bit of each resident 4 KB page.
+    referenced: PageBits,
+    /// Pages that were reclaimed; their next touch is a major fault.
+    swapped: PageBits,
+    /// Code pages mapped by the loader model: never reclaimed, and any
+    /// one of them blocks collapse.
+    pinned: PageBits,
+    /// Resident under one 2 MB mapping.
+    huge: bool,
+    /// CLOCK referenced bit of the 2 MB mapping.
+    huge_referenced: bool,
+}
+
 /// Per-core pager state. Every core runs its own process (separate
 /// address space), so residency bookkeeping is per core; only the frame
 /// pools (partitioned per core inside `FrameAllocator`) and the
 /// shootdown broadcast are shared.
-#[derive(Default)]
 struct CorePager {
-    /// Resident 4 KB pages: vpn4k -> CLOCK referenced bit.
-    pages: FastMap<u64, bool>,
+    /// Residency records by vpn2m, created on a region's first fault.
+    regions: FastMap<u64, Region>,
     /// CLOCK hand order over reclaimable 4 KB pages (lazy deletion:
     /// stale entries are skipped when popped).
     clock: VecDeque<u64>,
-    /// Resident 2 MB regions: vpn2m -> CLOCK referenced bit.
-    huge: FastMap<u64, bool>,
+    /// CLOCK hand order over 2 MB mappings, by vpn2m.
     clock_huge: VecDeque<u64>,
-    /// Pages that were reclaimed; their next touch is a major fault.
-    swapped: FastSet<u64>,
-    /// Code pages mapped by the loader model: never reclaimed.
-    pinned: FastSet<u64>,
-    /// Resident 4 KB pages per 2 MB region (promotion trigger).
-    region_resident: FastMap<u64, u64>,
-    /// Pinned pages per region (a pinned page blocks collapse).
-    region_pinned: FastMap<u64, u64>,
     /// 4 KB frames carved out of demoted 2 MB frames, available for
     /// reuse. Split frames are never coalesced back (no compaction).
     free_subframes: Vec<u64>,
+    /// The last two pages `pin_code_page` pinned. A pinned page is never
+    /// evicted, promoted or unpinned, so pinning one again is a no-op.
+    recent_pins: [u64; 2],
     /// Shootdown IPIs not yet acknowledged; drained (and charged) at
     /// this core's next memory access.
     pending_ipis: u64,
     stats: OsStats,
+}
+
+impl CorePager {
+    fn new() -> Self {
+        CorePager {
+            regions: FastMap::default(),
+            clock: VecDeque::new(),
+            clock_huge: VecDeque::new(),
+            free_subframes: Vec::new(),
+            recent_pins: [u64::MAX; 2],
+            pending_ipis: 0,
+            stats: OsStats::default(),
+        }
+    }
+
+    fn remember_pin(&mut self, vpn4k: u64) {
+        self.recent_pins = [vpn4k, self.recent_pins[0]];
+    }
+}
+
+/// Page index of `vpn4k` inside its 2 MB region.
+fn page_idx(vpn4k: u64) -> u64 {
+    vpn4k % PAGES_PER_REGION
 }
 
 /// The imitation OS: one instance per simulation, spanning all cores.
@@ -110,7 +195,7 @@ pub struct Os {
 
 impl Os {
     pub fn new(cfg: OsConfig, n_cores: usize) -> Self {
-        let pagers = (0..n_cores).map(|_| CorePager::default()).collect();
+        let pagers = (0..n_cores).map(|_| CorePager::new()).collect();
         Os { cfg, pagers }
     }
 
@@ -139,8 +224,66 @@ impl Os {
     /// engine to gate prefetch page walks: a prefetcher is never
     /// allowed to fault a page in.
     pub fn is_resident(&self, core: usize, va: VirtAddr) -> bool {
-        let p = &self.pagers[core];
-        p.huge.contains_key(&va.page_2m().raw()) || p.pages.contains_key(&va.page_4k().raw())
+        let vpn4k = va.page_4k().raw();
+        self.pagers[core]
+            .regions
+            .get(&va.page_2m().raw())
+            .is_some_and(|r| r.huge || r.resident.get(page_idx(vpn4k)))
+    }
+
+    /// Checks that the pager's residency records agree with the page
+    /// tables in `mem`: every resident 4 KB page has a 4 KB mapping and
+    /// every huge region a 2 MB mapping, no region is both, every pinned
+    /// page is resident, and no mapping exists that the pager does not
+    /// record. The error names the first disagreement found.
+    pub fn check_residency(&self, mem: &MemorySystem) -> Result<(), String> {
+        for (core, p) in self.pagers.iter().enumerate() {
+            let vmem = &mem.core(core).vmem;
+            let (mut n4k, mut n2m) = (0, 0);
+            for (&vpn2m, r) in &p.regions {
+                if r.huge {
+                    n2m += 1;
+                    if !vmem.is_mapped_2m(vpn2m) {
+                        return Err(format!(
+                            "core {core}: huge region {vpn2m:#x} has no 2 MB mapping"
+                        ));
+                    }
+                    if !r.resident.is_empty() {
+                        return Err(format!(
+                            "core {core}: huge region {vpn2m:#x} also has resident 4 KB pages"
+                        ));
+                    }
+                }
+                for idx in r.resident.iter() {
+                    n4k += 1;
+                    let vpn4k = vpn2m * PAGES_PER_REGION + idx;
+                    if !vmem.is_mapped_4k(vpn4k) {
+                        return Err(format!(
+                            "core {core}: resident page {vpn4k:#x} has no 4 KB mapping"
+                        ));
+                    }
+                }
+                if let Some(idx) = r.pinned.iter().find(|&i| !r.resident.get(i)) {
+                    let vpn4k = vpn2m * PAGES_PER_REGION + idx;
+                    return Err(format!(
+                        "core {core}: pinned page {vpn4k:#x} is not resident"
+                    ));
+                }
+            }
+            if n4k != vmem.mapped_4k() {
+                return Err(format!(
+                    "core {core}: {} 4 KB mappings but {n4k} resident 4 KB pages",
+                    vmem.mapped_4k()
+                ));
+            }
+            if n2m != vmem.mapped_2m() {
+                return Err(format!(
+                    "core {core}: {} 2 MB mappings but {n2m} huge regions",
+                    vmem.mapped_2m()
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// The demand-paging front door: called by the engine before every
@@ -157,22 +300,26 @@ impl Os {
     ) -> Result<u64, OomError> {
         let vpn4k = va.page_4k().raw();
         let vpn2m = va.page_2m().raw();
+        let idx = page_idx(vpn4k);
         let mut charge = self.drain_ipis(core);
 
         let p = &mut self.pagers[core];
-        if let Some(r) = p.huge.get_mut(&vpn2m) {
-            *r = true;
-            p.stats.fault_cycles += charge;
-            return Ok(charge);
-        }
-        if let Some(r) = p.pages.get_mut(&vpn4k) {
-            *r = true;
-            p.stats.fault_cycles += charge;
-            return Ok(charge);
-        }
+        let major = match p.regions.get_mut(&vpn2m) {
+            Some(r) if r.huge => {
+                r.huge_referenced = true;
+                p.stats.fault_cycles += charge;
+                return Ok(charge);
+            }
+            Some(r) if r.resident.get(idx) => {
+                r.referenced.set(idx);
+                p.stats.fault_cycles += charge;
+                return Ok(charge);
+            }
+            Some(r) => r.swapped.take(idx),
+            None => false,
+        };
 
         // Fault path.
-        let major = p.swapped.remove(&vpn4k);
         let fault_cost = if major {
             p.stats.major_faults += 1;
             self.cfg.major_fault_cycles
@@ -186,9 +333,10 @@ impl Os {
         let (vmem, _) = mem.vmem_and_frames(core);
         vmem.map_4k_at(vpn4k, pfn);
         let p = &mut self.pagers[core];
-        p.pages.insert(vpn4k, true);
+        let r = p.regions.entry(vpn2m).or_default();
+        r.resident.set(idx);
+        r.referenced.set(idx);
         p.clock.push_back(vpn4k);
-        *p.region_resident.entry(vpn2m).or_insert(0) += 1;
         let op = if major {
             OsOp::MajorFault
         } else {
@@ -223,25 +371,30 @@ impl Os {
     ) -> Result<(), OomError> {
         let vpn4k = va.page_4k().raw();
         let vpn2m = va.page_2m().raw();
+        let idx = page_idx(vpn4k);
         let p = &mut self.pagers[core];
-        if p.huge.contains_key(&vpn2m) {
+        if p.recent_pins.contains(&vpn4k) {
             return Ok(());
         }
-        if p.pages.contains_key(&vpn4k) {
-            if p.pinned.insert(vpn4k) {
-                *p.region_pinned.entry(vpn2m).or_insert(0) += 1;
+        match p.regions.get_mut(&vpn2m) {
+            Some(r) if r.huge => return Ok(()),
+            Some(r) if r.resident.get(idx) => {
+                r.pinned.set(idx);
+                p.remember_pin(vpn4k);
+                return Ok(());
             }
-            return Ok(());
+            Some(r) => r.swapped.clear(idx),
+            None => {}
         }
-        p.swapped.remove(&vpn4k);
         let pfn = self.alloc_4k_with_reclaim(mem, core, cycle)?;
         let (vmem, _) = mem.vmem_and_frames(core);
         vmem.map_4k_at(vpn4k, pfn);
         let p = &mut self.pagers[core];
-        p.pages.insert(vpn4k, true);
-        p.pinned.insert(vpn4k);
-        *p.region_pinned.entry(vpn2m).or_insert(0) += 1;
-        *p.region_resident.entry(vpn2m).or_insert(0) += 1;
+        let r = p.regions.entry(vpn2m).or_default();
+        r.resident.set(idx);
+        r.referenced.set(idx);
+        r.pinned.set(idx);
+        p.remember_pin(vpn4k);
         Ok(())
     }
 
@@ -307,16 +460,17 @@ impl Os {
         while budget > 0 {
             budget -= 1;
             let vpn = p.clock.pop_front()?;
-            if p.pinned.contains(&vpn) {
+            let idx = page_idx(vpn);
+            let Some(r) = p.regions.get_mut(&(vpn / PAGES_PER_REGION)) else {
                 continue;
+            };
+            if r.pinned.get(idx) || !r.resident.get(idx) {
+                continue; // pinned, promoted away or already evicted
             }
-            match p.pages.get_mut(&vpn) {
-                None => continue, // promoted away or already evicted
-                Some(r) if *r => {
-                    *r = false;
-                    p.clock.push_back(vpn);
-                }
-                Some(_) => return Some(vpn),
+            if r.referenced.take(idx) {
+                p.clock.push_back(vpn);
+            } else {
+                return Some(vpn);
             }
         }
         None
@@ -328,13 +482,14 @@ impl Os {
         while budget > 0 {
             budget -= 1;
             let vpn2m = p.clock_huge.pop_front()?;
-            match p.huge.get_mut(&vpn2m) {
-                None => continue,
-                Some(r) if *r => {
-                    *r = false;
+            match p.regions.get_mut(&vpn2m) {
+                Some(r) if r.huge => {
+                    if !std::mem::take(&mut r.huge_referenced) {
+                        return Some(vpn2m);
+                    }
                     p.clock_huge.push_back(vpn2m);
                 }
-                Some(_) => return Some(vpn2m),
+                _ => continue,
             }
         }
         None
@@ -345,21 +500,20 @@ impl Os {
         let (vmem, frames) = mem.vmem_and_frames(core);
         let pfn = vmem.unmap_4k(vpn4k).expect("victim must be mapped");
         let p = &mut self.pagers[core];
-        p.pages.remove(&vpn4k);
-        let vpn2m = vpn4k >> 9;
-        if let Some(n) = p.region_resident.get_mut(&vpn2m) {
-            *n -= 1;
-            if *n == 0 {
-                p.region_resident.remove(&vpn2m);
-            }
-        }
+        let idx = page_idx(vpn4k);
+        let r = p
+            .regions
+            .get_mut(&(vpn4k / PAGES_PER_REGION))
+            .expect("a victim's region has a record");
+        r.resident.clear(idx);
+        r.referenced.clear(idx);
+        r.swapped.set(idx);
         if pfn >= huge_base {
             // Carved out of a demoted 2 MB frame: recycle the slot.
             p.free_subframes.push(pfn);
         } else {
             frames.free_4k(pfn);
         }
-        p.swapped.insert(vpn4k);
         p.stats.reclaims += 1;
         mem.push_event(
             core,
@@ -381,20 +535,22 @@ impl Os {
         let Some(vpn2m) = self.pick_victim_2m(core) else {
             return false;
         };
-        let p = &mut self.pagers[core];
-        p.huge.remove(&vpn2m);
         let (vmem, _) = mem.vmem_and_frames(core);
         let pfn2m = vmem.unmap_2m(vpn2m).expect("huge victim must be mapped");
-        let lo = vpn2m << 9;
+        let lo = vpn2m * PAGES_PER_REGION;
         for idx in 0..PAGES_PER_REGION {
-            vmem.map_4k_at(lo + idx, (pfn2m << 9) + idx);
+            vmem.map_4k_at(lo + idx, pfn2m * PAGES_PER_REGION + idx);
         }
         let p = &mut self.pagers[core];
-        for idx in 0..PAGES_PER_REGION {
-            p.pages.insert(lo + idx, false);
-            p.clock.push_back(lo + idx);
-        }
-        p.region_resident.insert(vpn2m, PAGES_PER_REGION);
+        let r = p
+            .regions
+            .get_mut(&vpn2m)
+            .expect("a huge region has a record");
+        r.huge = false;
+        r.huge_referenced = false;
+        r.resident = PageBits::ALL;
+        r.referenced = PageBits::NONE;
+        p.clock.extend(lo..lo + PAGES_PER_REGION);
         p.stats.thp_demotions += 1;
         mem.push_event(
             core,
@@ -422,38 +578,38 @@ impl Os {
         cycle: u64,
     ) -> u64 {
         let threshold = self.cfg.promote_threshold();
-        {
-            let p = &self.pagers[core];
-            if p.huge.contains_key(&vpn2m)
-                || p.region_pinned.get(&vpn2m).copied().unwrap_or(0) > 0
-                || p.region_resident.get(&vpn2m).copied().unwrap_or(0) < threshold
-            {
-                return 0;
-            }
+        let ready = self.pagers[core]
+            .regions
+            .get(&vpn2m)
+            .is_some_and(|r| !r.huge && r.pinned.is_empty() && r.resident.count() >= threshold);
+        if !ready {
+            return 0;
         }
         let Ok(pfn2m) = mem.frames_mut().alloc_2m(core as u32) else {
             return 0;
         };
         let huge_base = mem.frames_mut().huge_region_base();
         let (vmem, frames) = mem.vmem_and_frames(core);
-        let moved = vmem.take_region_4k(vpn2m);
         let p = &mut self.pagers[core];
-        for (vpn, pfn) in &moved {
-            p.pages.remove(vpn);
-            if *pfn >= huge_base {
-                p.free_subframes.push(*pfn);
+        let r = p.regions.get_mut(&vpn2m).expect("checked above");
+        // Unmap in VPN order: the order freed split-frame slots are
+        // stacked in decides which slot the next fault reuses.
+        let lo = vpn2m * PAGES_PER_REGION;
+        for idx in r.resident.iter() {
+            let pfn = vmem.unmap_4k(lo + idx).expect("a resident page is mapped");
+            if pfn >= huge_base {
+                p.free_subframes.push(pfn);
             } else {
-                frames.free_4k(*pfn);
+                frames.free_4k(pfn);
             }
         }
-        let lo = vpn2m << 9;
-        for vpn in lo..lo + PAGES_PER_REGION {
-            p.swapped.remove(&vpn);
-        }
+        r.resident = PageBits::NONE;
+        r.referenced = PageBits::NONE;
+        r.swapped = PageBits::NONE;
+        r.huge = true;
+        r.huge_referenced = true;
         vmem.map_2m_at(vpn2m, pfn2m);
-        p.huge.insert(vpn2m, true);
         p.clock_huge.push_back(vpn2m);
-        p.region_resident.remove(&vpn2m);
         p.stats.thp_promotions += 1;
         mem.push_event(
             core,
@@ -723,5 +879,43 @@ mod tests {
         assert_eq!(os.stats(0), OsStats::default());
         assert!(os.is_resident(0, va));
         assert_eq!(os.before_access(&mut mem, 0, va, 1).unwrap(), 0);
+    }
+
+    #[test]
+    fn check_residency_catches_disagreement() {
+        let mut mem = sys(1);
+        let mut os = os(1.0, 1);
+        os.before_access(&mut mem, 0, VirtAddr::new(5 << 21), 0)
+            .unwrap();
+        os.pin_code_page(&mut mem, 0, VirtAddr::new(7 << 21), 1)
+            .unwrap();
+        os.before_access(&mut mem, 0, VirtAddr::new((7 << 21) + 4096), 2)
+            .unwrap();
+        assert_eq!(os.check_residency(&mem), Ok(()));
+
+        // A 4 KB mapping the pager does not know about.
+        let (vmem, frames) = mem.vmem_and_frames(0);
+        let pfn = frames.alloc_4k(0).unwrap();
+        vmem.map_4k_at(9 << 9, pfn);
+        assert!(os.check_residency(&mem).is_err());
+        mem.vmem_and_frames(0).0.unmap_4k(9 << 9);
+        assert_eq!(os.check_residency(&mem), Ok(()));
+
+        // A resident page whose mapping vanished.
+        mem.vmem_and_frames(0).0.unmap_4k((7 << 9) + 1);
+        let err = os.check_residency(&mem).unwrap_err();
+        assert!(err.contains("no 4 KB mapping"), "{err}");
+    }
+
+    #[test]
+    fn check_residency_catches_a_lost_huge_mapping() {
+        let mut mem = sys(1);
+        let mut os = os(1.0, 1);
+        os.before_access(&mut mem, 0, VirtAddr::new(5 << 21), 0)
+            .unwrap();
+        assert_eq!(os.check_residency(&mem), Ok(()));
+        mem.vmem_and_frames(0).0.unmap_2m(5);
+        let err = os.check_residency(&mem).unwrap_err();
+        assert!(err.contains("no 2 MB mapping"), "{err}");
     }
 }

@@ -219,6 +219,8 @@ fn replayed_traces_reproduce_golden_counters() {
 /// `CoreStats` and `OsStats`, and of the shared LLC's `CacheStats`.
 struct MixGolden {
     workloads: &'static [&'static str],
+    warmup: u64,
+    instructions: u64,
     cores: &'static [(&'static str, &'static str)],
     llc: &'static str,
 }
@@ -228,6 +230,8 @@ const OS_OFF: &str = "OsStats { minor_faults: 0, major_faults: 0, reclaims: 0, t
 /// `random_mixes(1, 4, 42)[0]` with Berti + DRIPPER and the OS off.
 const MIX4: MixGolden = MixGolden {
     workloads: &["spec17.s33", "qmm_int.s02", "qmm_int.s04", "qmm_fp.s12"],
+    warmup: 5_000,
+    instructions: 20_000,
     cores: &[
         ("CoreStats { instructions: 20000, cycles: 260466, loads: 5606, stores: 1426, branch_mispredicts: 95, branches: 2457, stalls: StallBreakdown { rob_full: 1504472, l1d_miss: 0, tlb_walk: 16505, branch_redirect: 6875, fetch_starved: 0, os_fault: 0, drain: 14939, warmup_carry: 5 } }", OS_OFF),
         ("CoreStats { instructions: 20000, cycles: 286964, loads: 5274, stores: 1263, branch_mispredicts: 255, branches: 2464, stalls: StallBreakdown { rob_full: 1567315, l1d_miss: 0, tlb_walk: 86875, branch_redirect: 18581, fetch_starved: 0, os_fault: 0, drain: 29012, warmup_carry: 1 } }", OS_OFF),
@@ -241,6 +245,8 @@ const MIX4: MixGolden = MixGolden {
 /// faults, promotions, shootdowns and IPIs all fire.
 const MIX2_OS: MixGolden = MixGolden {
     workloads: &["gap.s00", "gap.s01"],
+    warmup: 5_000,
+    instructions: 20_000,
     cores: &[
         ("CoreStats { instructions: 20000, cycles: 230372, loads: 5999, stores: 1464, branch_mispredicts: 89, branches: 2347, stalls: StallBreakdown { rob_full: 21104, l1d_miss: 309054, tlb_walk: 21317, branch_redirect: 6562, fetch_starved: 0, os_fault: 977815, drain: 26379, warmup_carry: 1 } }",
          "OsStats { minor_faults: 448, major_faults: 0, reclaims: 0, thp_promotions: 1, thp_demotions: 0, shootdowns: 1, ipis_received: 1, fault_cycles: 1794800 }"),
@@ -248,6 +254,26 @@ const MIX2_OS: MixGolden = MixGolden {
          "OsStats { minor_faults: 366, major_faults: 0, reclaims: 0, thp_promotions: 1, thp_demotions: 0, shootdowns: 1, ipis_received: 1, fault_cycles: 1466800 }"),
     ],
     llc: "CacheStats { demand_accesses: 2525, demand_misses: 2525, prefetch_accesses: 2892, prefetch_hits: 0, prefetch_fills: 2579, prefetch_useful: 0, prefetch_useless: 0, pgc_fills: 0, pgc_useful: 0, pgc_useless: 0, writebacks: 0 }",
+};
+
+/// `gap.s00`–`gap.s03` with IPCP + Discard and the OS at 64 MB, THP 1.0,
+/// warm-up 10 000 and 50 000 measured: gap.s02's slice of the 4 KB pool
+/// fills, so core 2 reclaims pages and major-faults them back in.
+const MIX4_RECLAIM: MixGolden = MixGolden {
+    workloads: &["gap.s00", "gap.s01", "gap.s02", "gap.s03"],
+    warmup: 10_000,
+    instructions: 50_000,
+    cores: &[
+        ("CoreStats { instructions: 50000, cycles: 622734, loads: 14984, stores: 3678, branch_mispredicts: 211, branches: 5992, stalls: StallBreakdown { rob_full: 277708, l1d_miss: 1777813, tlb_walk: 0, branch_redirect: 15128, fetch_starved: 0, os_fault: 1591655, drain: 24096, warmup_carry: 4 } }",
+         "OsStats { minor_faults: 673, major_faults: 0, reclaims: 0, thp_promotions: 0, thp_demotions: 0, shootdowns: 0, ipis_received: 81, fault_cycles: 2756800 }"),
+        ("CoreStats { instructions: 50000, cycles: 617636, loads: 15114, stores: 3754, branch_mispredicts: 218, branches: 5910, stalls: StallBreakdown { rob_full: 301190, l1d_miss: 1816834, tlb_walk: 0, branch_redirect: 15995, fetch_starved: 0, os_fault: 1501726, drain: 20070, warmup_carry: 1 } }",
+         "OsStats { minor_faults: 626, major_faults: 0, reclaims: 0, thp_promotions: 0, thp_demotions: 0, shootdowns: 0, ipis_received: 80, fault_cycles: 2568000 }"),
+        ("CoreStats { instructions: 50000, cycles: 698481, loads: 15768, stores: 4018, branch_mispredicts: 246, branches: 6086, stalls: StallBreakdown { rob_full: 0, l1d_miss: 1330897, tlb_walk: 16092, branch_redirect: 17822, fetch_starved: 0, os_fault: 2753173, drain: 22899, warmup_carry: 3 } }",
+         "OsStats { minor_faults: 1643, major_faults: 5, reclaims: 124, thp_promotions: 0, thp_demotions: 0, shootdowns: 124, ipis_received: 0, fault_cycles: 6732000 }"),
+        ("CoreStats { instructions: 50000, cycles: 645713, loads: 14989, stores: 3742, branch_mispredicts: 239, branches: 6004, stalls: StallBreakdown { rob_full: 446504, l1d_miss: 1532463, tlb_walk: 0, branch_redirect: 17380, fetch_starved: 0, os_fault: 1658764, drain: 169166, warmup_carry: 1 } }",
+         "OsStats { minor_faults: 671, major_faults: 0, reclaims: 0, thp_promotions: 0, thp_demotions: 0, shootdowns: 0, ipis_received: 84, fault_cycles: 2751200 }"),
+    ],
+    llc: "CacheStats { demand_accesses: 15042, demand_misses: 14891, prefetch_accesses: 11048, prefetch_hits: 34, prefetch_fills: 10147, prefetch_useful: 0, prefetch_useless: 0, pgc_fills: 0, pgc_useful: 0, pgc_useless: 0, writebacks: 0 }",
 };
 
 fn check_mix(builder: SimulationBuilder, mix: &[&Workload], g: &MixGolden) {
@@ -259,8 +285,8 @@ fn check_mix(builder: SimulationBuilder, mix: &[&Workload], g: &MixGolden) {
     );
     let refs: Vec<&dyn TraceFactory> = mix.iter().map(|w| *w as &dyn TraceFactory).collect();
     let m = builder
-        .warmup(5_000)
-        .instructions(20_000)
+        .warmup(g.warmup)
+        .instructions(g.instructions)
         .try_run_mix(&refs)
         .expect("the mix fits in memory");
     assert_eq!(m.workloads, g.workloads);
@@ -306,4 +332,23 @@ fn one_core_mix_equals_single_run() {
         assert_eq!(mix.os, [single.os], "warmup {warmup}: OsStats");
         assert_eq!(mix.llc, single.llc, "warmup {warmup}: LLC");
     }
+}
+
+#[test]
+fn four_core_mix_with_reclaim_counters_are_stable() {
+    let gap = suite(SuiteId::Gap).workloads();
+    let os = OsConfig {
+        phys_mem_bytes: 64 << 20,
+        thp: 1.0,
+        ..OsConfig::default()
+    };
+    let builder = SimulationBuilder::new()
+        .prefetcher(PrefetcherKind::Ipcp)
+        .pgc_policy(PgcPolicyKind::DiscardPgc)
+        .os(os);
+    check_mix(
+        builder,
+        &[&gap[0], &gap[1], &gap[2], &gap[3]],
+        &MIX4_RECLAIM,
+    );
 }

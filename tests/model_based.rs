@@ -3,12 +3,12 @@
 //! in-repo harness ([`pagecross::types::prop`]).
 
 use pagecross::mem::{
-    Cache, CacheConfig, Eviction, FillKind, FrameAllocator, HugePagePolicy, Lookup, Mshr,
+    Cache, CacheConfig, Eviction, FillKind, FrameAllocator, HugePagePolicy, Lookup, Mshr, OomError,
     PageWalker, PscConfig, Tlb, TlbConfig, Translation, Vmem,
 };
 use pagecross::types::prop::{check, vec_of, Config};
 use pagecross::types::{prop_assert, prop_assert_eq};
-use pagecross::types::{FastMap, FastSet, LineAddr, PageSize, VirtAddr};
+use pagecross::types::{FastMap, FastSet, LineAddr, PageSize, Rng64, VirtAddr};
 use std::cell::Cell;
 
 /// One resident block of the reference cache, with the metadata an
@@ -596,4 +596,148 @@ fn walker_matches_flat_reference_map() {
             Ok(())
         },
     );
+}
+
+/// The frame allocator's original form: per-core rejection samplers over
+/// hash sets of used frames, drawing from the same per-core RNG streams.
+struct RefFrames {
+    slice_4k: u64,
+    slice_2m: u64,
+    base_2m: u64,
+    cores: Vec<(Rng64, FastSet<u64>, FastSet<u64>)>,
+}
+
+impl RefFrames {
+    fn new(fa: &FrameAllocator, seed: u64) -> Self {
+        let n = u64::from(fa.num_cores());
+        Self {
+            slice_4k: fa.total_4k_frames() / n,
+            slice_2m: fa.total_2m_frames() / n,
+            base_2m: fa.huge_region_base() >> 9,
+            cores: (0..n)
+                .map(|i| {
+                    let rng =
+                        Rng64::new(seed ^ 0x5EED_F4A3 ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                    (rng, FastSet::default(), FastSet::default())
+                })
+                .collect(),
+        }
+    }
+
+    fn alloc_4k(&mut self, core: usize) -> Result<u64, OomError> {
+        let (base, slice) = (core as u64 * self.slice_4k, self.slice_4k);
+        let (rng, used, _) = &mut self.cores[core];
+        if used.len() as u64 >= slice {
+            return Err(OomError::Frames4K);
+        }
+        loop {
+            let pfn = base + rng.below(slice);
+            if used.insert(pfn) {
+                return Ok(pfn);
+            }
+        }
+    }
+
+    fn alloc_2m(&mut self, core: usize) -> Result<u64, OomError> {
+        let (base, slice) = (self.base_2m + core as u64 * self.slice_2m, self.slice_2m);
+        let (rng, _, used) = &mut self.cores[core];
+        if used.len() as u64 >= slice {
+            return Err(OomError::Frames2M);
+        }
+        loop {
+            let pfn2m = base + rng.below(slice);
+            if used.insert(pfn2m) {
+                return Ok(pfn2m);
+            }
+        }
+    }
+
+    fn free_4k(&mut self, pfn: u64) {
+        let owner = (pfn / self.slice_4k) as usize;
+        assert!(self.cores[owner].1.remove(&pfn), "model: double free");
+    }
+
+    fn free_2m(&mut self, pfn2m: u64) {
+        let owner = ((pfn2m - self.base_2m) / self.slice_2m) as usize;
+        assert!(self.cores[owner].2.remove(&pfn2m), "model: double free");
+    }
+}
+
+/// The bitmap frame pools hand out exactly the frames of the hash-set
+/// rejection sampler they replaced: same frame sequence, same `Err` on a
+/// full slice, same free counts, over random alloc/free sequences on one
+/// and four cores. Op 0–5 allocates a 4 KB frame, 6–7 a 2 MB frame, 8–10
+/// frees a live 4 KB frame, 11 a live 2 MB frame, and 12 allocates 4 KB
+/// frames until the slice is full (then one more, which must fail).
+#[test]
+fn frame_allocator_matches_rejection_sampler() {
+    let fills = Cell::new(0u64);
+    for n_cores in [1u32, 4] {
+        check(
+            &Config::cases(24),
+            |rng| vec_of(rng, 1, 160, |r| (r.below(13), r.below(4), r.below(1 << 16))),
+            |ops| {
+                let seed = 0xF4A3;
+                let mut dut = FrameAllocator::with_cores(64 << 20, seed, n_cores);
+                let mut model = RefFrames::new(&dut, seed);
+                let (mut live_4k, mut live_2m) = (Vec::new(), Vec::new());
+                for &(op, core, pick) in ops {
+                    let core = (core % u64::from(n_cores)) as u32;
+                    let c = core as usize;
+                    match op {
+                        0..=5 => {
+                            let got = dut.alloc_4k(core);
+                            prop_assert_eq!(got, model.alloc_4k(c), "alloc_4k on core {}", core);
+                            live_4k.extend(got.ok());
+                        }
+                        6 | 7 => {
+                            let got = dut.alloc_2m(core);
+                            prop_assert_eq!(got, model.alloc_2m(c), "alloc_2m on core {}", core);
+                            live_2m.extend(got.ok());
+                        }
+                        8..=10 if !live_4k.is_empty() => {
+                            let pfn = live_4k.swap_remove(pick as usize % live_4k.len());
+                            dut.free_4k(pfn);
+                            model.free_4k(pfn);
+                        }
+                        11 if !live_2m.is_empty() => {
+                            let pfn2m = live_2m.swap_remove(pick as usize % live_2m.len());
+                            dut.free_2m(pfn2m);
+                            model.free_2m(pfn2m);
+                        }
+                        12 => {
+                            loop {
+                                let got = dut.alloc_4k(core);
+                                prop_assert_eq!(got, model.alloc_4k(c), "filling core {}", core);
+                                match got {
+                                    Ok(pfn) => live_4k.push(pfn),
+                                    Err(_) => break,
+                                }
+                            }
+                            prop_assert_eq!(dut.free_4k_frames(core), 0);
+                            fills.set(fills.get() + 1);
+                        }
+                        _ => {}
+                    }
+                    for k in 0..n_cores {
+                        let (_, used_4k, used_2m) = &model.cores[k as usize];
+                        prop_assert_eq!(
+                            dut.free_4k_frames(k),
+                            model.slice_4k - used_4k.len() as u64,
+                            "free 4 KB frames on core {}",
+                            k
+                        );
+                        prop_assert_eq!(
+                            dut.free_2m_frames(k),
+                            model.slice_2m - used_2m.len() as u64,
+                            "free 2 MB frames on core {}",
+                            k
+                        );
+                    }
+                }
+                Ok(())
+            },
+        );
+    }
+    assert!(fills.get() > 0, "no case filled a 4 KB slice");
 }

@@ -3,8 +3,12 @@
 //! shootdowns — all exercised through the public `SimulationBuilder` API
 //! exactly as the CLI drives it.
 
+use pagecross::cpu::engine::CoreEngine;
 use pagecross::cpu::trace::{Instr, Op, TraceFactory, TraceSource};
-use pagecross::cpu::{CoreConfig, OsConfig, PrefetcherKind, SimulationBuilder};
+use pagecross::cpu::{BoundaryMode, CoreConfig, Os, OsConfig, PrefetcherKind, SimulationBuilder};
+use pagecross::mem::{HugePagePolicy, MemConfig, MemorySystem};
+use pagecross::moka::PermitPgc;
+use pagecross::prefetch::NextLine;
 use pagecross::types::VirtAddr;
 use pagecross::workloads::{suite, SuiteId};
 
@@ -92,6 +96,52 @@ fn memory_pressure_exercises_the_whole_reclaim_path() {
         r.core.stalls.warmup_carry,
         r.core.cycles,
     );
+}
+
+/// After the pressure scenario above, stepped through one engine at
+/// THP 0, 0.5 and 1, the pager's residency records still agree with the
+/// page tables: every resident page is mapped and every mapping is
+/// resident. Promotion unmaps exactly the pages the pager records as
+/// resident, so this agreement is what keeps it exact. A page-cross
+/// prefetcher runs too, so walks gated on residency are exercised.
+#[test]
+fn residency_matches_page_tables_after_pressure() {
+    for thp in [0.0, 0.5, 1.0] {
+        let cfg = OsConfig {
+            phys_mem_bytes: 64 << 20,
+            thp,
+            ..OsConfig::default()
+        };
+        let mut mcfg = MemConfig::table_iv(1);
+        mcfg.dram.capacity_bytes = cfg.phys_mem_bytes;
+        let mut mem = MemorySystem::new(mcfg, 1, HugePagePolicy::None, 1);
+        let mut os = Some(Os::new(cfg, 1));
+        let mut engine = CoreEngine::new(
+            0,
+            CoreConfig::default(),
+            BoundaryMode::Fixed4K,
+            Box::new(NextLine::new(2)),
+            Box::new(PermitPgc),
+            None,
+        );
+        let mut src = WideStream { pages: 12_288 }.build();
+        for _ in 0..25_000 {
+            engine
+                .step(&mut mem, &mut os, &src.next_instr())
+                .expect("the stream fits once reclaim runs");
+        }
+        let os = os.expect("the OS is on");
+        let stats = os.stats(0);
+        if thp == 0.0 {
+            assert!(stats.reclaims > 0, "thp 0 must reclaim");
+            assert!(stats.major_faults > 0, "thp 0 must major-fault");
+        } else {
+            assert!(stats.thp_promotions > 0, "thp {thp} must promote");
+        }
+        if let Err(e) = os.check_residency(&mem) {
+            panic!("thp {thp}: {e}");
+        }
+    }
 }
 
 /// Raising the THP fraction on a sequential stream converts 4 KB
