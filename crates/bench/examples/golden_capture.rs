@@ -87,8 +87,10 @@ fn main() {
         .prefetcher(PrefetcherKind::Ipcp)
         .pgc_policy(PgcPolicyKind::PermitPgc)
         .os(os);
-    // THP 1.0 on a full 64 MB pool: reclaims, major faults, promotions
-    // and demotions all fire.
+    // THP 1.0 at 64 MB: gap.s02's slice of the 4 KB pool fills, so core
+    // 2 reclaims pages and major-faults them back in. No promotion or
+    // demotion falls in the measured phase; the region-cycle golden in
+    // `tests/os_model.rs` locks those paths.
     let reclaim_builder = SimulationBuilder::new()
         .prefetcher(PrefetcherKind::Ipcp)
         .pgc_policy(PgcPolicyKind::DiscardPgc)

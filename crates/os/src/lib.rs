@@ -155,9 +155,6 @@ struct CorePager {
     /// 4 KB frames carved out of demoted 2 MB frames, available for
     /// reuse. Split frames are never coalesced back (no compaction).
     free_subframes: Vec<u64>,
-    /// The last two pages `pin_code_page` pinned. A pinned page is never
-    /// evicted, promoted or unpinned, so pinning one again is a no-op.
-    recent_pins: [u64; 2],
     /// Shootdown IPIs not yet acknowledged; drained (and charged) at
     /// this core's next memory access.
     pending_ipis: u64,
@@ -171,14 +168,9 @@ impl CorePager {
             clock: VecDeque::new(),
             clock_huge: VecDeque::new(),
             free_subframes: Vec::new(),
-            recent_pins: [u64::MAX; 2],
             pending_ipis: 0,
             stats: OsStats::default(),
         }
-    }
-
-    fn remember_pin(&mut self, vpn4k: u64) {
-        self.recent_pins = [vpn4k, self.recent_pins[0]];
     }
 }
 
@@ -373,14 +365,10 @@ impl Os {
         let vpn2m = va.page_2m().raw();
         let idx = page_idx(vpn4k);
         let p = &mut self.pagers[core];
-        if p.recent_pins.contains(&vpn4k) {
-            return Ok(());
-        }
         match p.regions.get_mut(&vpn2m) {
             Some(r) if r.huge => return Ok(()),
             Some(r) if r.resident.get(idx) => {
                 r.pinned.set(idx);
-                p.remember_pin(vpn4k);
                 return Ok(());
             }
             Some(r) => r.swapped.clear(idx),
@@ -394,7 +382,6 @@ impl Os {
         r.resident.set(idx);
         r.referenced.set(idx);
         r.pinned.set(idx);
-        p.remember_pin(vpn4k);
         Ok(())
     }
 
@@ -846,6 +833,7 @@ mod tests {
         assert_eq!(s.thp_demotions, 1);
         assert!(s.reclaims >= 1);
         assert!(os.is_resident(0, VirtAddr::new(1 << 32)));
+        assert_eq!(os.check_residency(&mem), Ok(()));
     }
 
     #[test]
